@@ -31,7 +31,6 @@ from .ensembles import (
     product,
     hamming_variety,
     sidon_parabola,
-    sidon_greedy,
     is_sidon,
     cutoff_cylinder,
     embed,
@@ -79,7 +78,7 @@ __all__ = [
     "dft_reference", "convolve", "parseval", "lp_average_norm",
     "multiply_density", "lq_norm", "lq_mu_norm", "random_function",
     "PointSet", "SetDescriptor", "sphere", "product", "hamming_variety",
-    "sidon_parabola", "sidon_greedy", "is_sidon", "cutoff_cylinder",
+    "sidon_parabola", "is_sidon", "cutoff_cylinder",
     "embed", "surface_measure", "random_set", "full_space",
     "SpectralProfile", "SalemFit", "ClosedFormPrediction", "profile",
     "fit_salem_exponent", "predict_sphere_product", "predict_hamming",

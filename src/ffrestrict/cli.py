@@ -82,8 +82,7 @@ def _family_params(args: argparse.Namespace, errors: list[str]) -> dict:
         return {}
     accepted = {key for key, _ in spec.param_defaults}
     params = {}
-    for key in ("d", "j", "k", "m", "r", "n", "seed", "percent",
-                "target_size"):
+    for key in ("d", "j", "k", "m", "r", "n", "seed", "percent"):
         value = getattr(args, key, None)
         if key in accepted and value is not None:
             params[key] = value
@@ -111,8 +110,6 @@ def _power_config(args: argparse.Namespace) -> PowerIterConfig:
         max_iter=args.max_iter,
         tol=args.tol,
         seed=args.seed,
-        kernel=args.kernel,
-        threads=args.threads,
     )
 
 
@@ -138,10 +135,13 @@ def cmd_build_set(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fp:
-        f = reports.read_function(fp)
+    try:
+        with open(args.infile, "r", encoding="utf-8") as fp:
+            f = reports.read_function(fp, max_points=args.max_points)
+    except reports.FileContentError as exc:
+        raise ConfigError([f"{args.infile}: {exc}"])
     op = fourier_inverse if args.inverse else fourier_forward
-    result = op(f, kernel=args.kernel)
+    result = op(f)
     with _open_out(args.out) as fp:
         reports.write_function(fp, result)
     return 0
@@ -158,12 +158,10 @@ def cmd_salem_profile(args: argparse.Namespace) -> int:
         raise ConfigError(errors)
     e = families.build_set(args.family, args.p, params,
                            max_points=args.max_points)
-    prof = profile(surface_measure(e), grid, descriptor=e.descriptor,
-                   kernel=args.kernel)
+    prof = profile(surface_measure(e), grid, descriptor=e.descriptor)
     config = {"command": "salem-profile", "family": args.family,
               "params": families.get(args.family).resolve_params(params),
-              "p": args.p, "p_grid": args.p_grid, "kernel": args.kernel,
-              "seed": args.seed}
+              "p": args.p, "p_grid": args.p_grid, "seed": args.seed}
     with _open_out(args.out) as fp:
         reports.write_csv(fp, reports.PROFILE_FIELDS,
                           reports.profile_rows(prof), config,
@@ -188,12 +186,11 @@ def cmd_salem_fit(args: argparse.Namespace) -> int:
     for p_exp in grid:
         predicted = pred.at(p_exp) if pred is not None else None
         fits.append(fit_salem_exponent(build, p_exp, sizes,
-                                       predicted_s=predicted,
-                                       kernel=args.kernel))
+                                       predicted_s=predicted))
     config = {"command": "salem-fit", "family": args.family,
               "params": families.get(args.family).resolve_params(params),
               "p_grid": args.p_grid, "field_sizes": args.field_sizes,
-              "kernel": args.kernel, "seed": args.seed}
+              "seed": args.seed}
     with _open_out(args.out) as fp:
         reports.write_csv(fp, reports.FIT_FIELDS, reports.fit_rows(fits),
                           config, _timestamp(args))
@@ -233,7 +230,7 @@ def cmd_ext_norm(args: argparse.Namespace) -> int:
               "params": families.get(args.family).resolve_params(params),
               "p": args.p, "q": args.q, "seed": args.seed,
               "starts": args.starts, "max_iter": args.max_iter,
-              "tol": args.tol, "kernel": args.kernel}
+              "tol": args.tol}
     payload = {
         "q": reports.fmt_p_exp(est.q),
         "lower_bound": reports.f17(est.lower_bound),
@@ -266,7 +263,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               "q": args.q, "field_sizes": args.field_sizes,
               "seed": args.seed, "starts": args.starts,
               "max_iter": args.max_iter, "tol": args.tol,
-              "kernel": args.kernel,
               "fitted_growth_exponent":
                   reports.f17(sweep.fitted_growth_exponent),
               "regime": regime}
@@ -313,15 +309,9 @@ def _add_family_options(sub: argparse.ArgumentParser) -> None:
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="-", help="output path, '-' = stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="accepted for symmetry; commands pick their format")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--kernel", choices=("auto", "naive", "bluestein"),
-                     default="auto")
     sub.add_argument("--max-points", type=int, default=DEFAULT_POINT_CAP,
                      help="cap on p^d per constructed space")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="parallelism degree (default: FFR_THREADS or 1)")
     sub.add_argument("--timestamp", action="store_true",
                      help="stamp outputs with wall-clock time "
                           "(default: null for byte-stable output)")
@@ -345,7 +335,6 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("build-set", help="construct a family instance")
     _add_family_options(sub)
     sub.add_argument("--p", type=int, required=True, help="field size")
-    sub.add_argument("--target-size", dest="target_size", type=int)
     _add_common_options(sub)
     sub.set_defaults(func=cmd_build_set)
 

@@ -176,34 +176,6 @@ def is_sidon(e: PointSet) -> bool:
     return len(np.unique(pair_sums)) == len(pair_sums)
 
 
-def sidon_greedy(space: VectorSpace, target_size: int, seed: int) -> PointSet:
-    """Randomized greedy Sidon set: shuffle the points by seed, insert
-    whenever the Sidon condition survives.  May stop short of target_size."""
-    if target_size < 1:
-        raise ValueError("target_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(space.size)
-    chosen: list[int] = []
-    sums: set[int] = set()
-    for cand in order:
-        cand = int(cand)
-        new_sums = space.index_add(
-            np.array(chosen + [cand], dtype=np.int64), np.int64(cand))
-        unique = set(int(s) for s in new_sums)
-        # new sums cand+e are distinct for distinct e; only clashes with
-        # previously recorded sums can break the Sidon condition
-        if unique & sums:
-            continue
-        chosen.append(cand)
-        sums |= unique
-        if len(chosen) == target_size:
-            break
-    memb = np.zeros(space.size, dtype=bool)
-    memb[chosen] = True
-    return PointSet(space, memb, SetDescriptor.make(
-        "sidon-greedy", d=space.dimension, target=target_size, seed=seed))
-
-
 def cutoff_cylinder(space: VectorSpace, n: int, m: int, k: int) -> PointSet:
     """(F^n \\ F^m) x S_1^k inside F_p^{n+k+1}.
 

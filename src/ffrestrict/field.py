@@ -109,11 +109,15 @@ class VectorSpace:
                  max_points: int = DEFAULT_POINT_CAP) -> None:
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        size = fld.modulus ** dimension
-        if size > max_points:
+        # p^d >= 2^d, so a d past the cap's bit length fails without
+        # taking the power
+        if (dimension > int(max_points).bit_length()
+                or fld.modulus ** dimension > max_points):
             raise ValueError(
-                f"p^d = {size} exceeds the point cap {max_points}; "
-                "raise max_points explicitly if this size is intended")
+                f"p^d = {fld.modulus}^{dimension} exceeds the point cap "
+                f"{max_points}; raise max_points explicitly if this size "
+                "is intended")
+        size = fld.modulus ** dimension
         self._field = fld
         self._dimension = dimension
         self._size = size

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .ensembles import PointSet, SetDescriptor
-from .field import PrimeField, VectorSpace
+from .field import DEFAULT_POINT_CAP, PrimeField, VectorSpace
 from .rationals import fmt as fmt_exact
 from .rationals import parse as parse_exact
 from .restriction import GrowthSweep, ThresholdReport
@@ -79,15 +79,37 @@ def write_set(fp: TextIO, e: PointSet) -> None:
         fp.write(f"{int(idx)}\n")
 
 
-def read_set(fp: TextIO) -> PointSet:
+class FileContentError(ValueError):
+    """A set or function file whose header names no allowed space, or
+    whose rows name points outside it."""
+
+
+def _read_space(fp: TextIO, max_points: int) -> tuple[dict, VectorSpace]:
+    """The space named by a file's JSON header line, under the point cap."""
     header = json.loads(fp.readline())
-    p, d = int(header["p"]), int(header["d"])
-    space = VectorSpace(PrimeField(p), d, max_points=max(p ** d, 1))
+    try:
+        p, d = int(header["p"]), int(header["d"])
+        space = VectorSpace(PrimeField(p), d, max_points=max_points)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileContentError(f"bad header {header!r}: {exc}") from None
+    return header, space
+
+
+def _point_index(space: VectorSpace, token: str) -> int:
+    idx = int(token)
+    if not 0 <= idx < space.size:
+        raise FileContentError(
+            f"index {idx} out of range [0, {space.size}) for {space}")
+    return idx
+
+
+def read_set(fp: TextIO, max_points: int = DEFAULT_POINT_CAP) -> PointSet:
+    header, space = _read_space(fp, max_points)
     memb = np.zeros(space.size, dtype=bool)
     for line in fp:
         line = line.strip()
         if line:
-            memb[int(line)] = True
+            memb[_point_index(space, line)] = True
     desc = SetDescriptor.make(header.get("family", "unknown"),
                               **header.get("params", {}))
     return PointSet(space, memb, desc)
@@ -106,10 +128,9 @@ def write_function(fp: TextIO, f: GridFunction) -> None:
         writer.writerow((idx, f17(v.real), f17(v.imag)))
 
 
-def read_function(fp: TextIO) -> GridFunction:
-    header = json.loads(fp.readline())
-    p, d = int(header["p"]), int(header["d"])
-    space = VectorSpace(PrimeField(p), d, max_points=max(p ** d, 1))
+def read_function(fp: TextIO,
+                  max_points: int = DEFAULT_POINT_CAP) -> GridFunction:
+    _, space = _read_space(fp, max_points)
     values = np.zeros(space.size, dtype=np.complex128)
     reader = csv.reader(fp)
     head = next(reader)
@@ -118,7 +139,10 @@ def read_function(fp: TextIO) -> GridFunction:
     for row in reader:
         if not row:
             continue
-        values[int(row[0])] = float(row[1]) + 1j * float(row[2])
+        if len(row) != 3:
+            raise FileContentError(f"expected index,re,im, got {row}")
+        values[_point_index(space, row[0])] = \
+            float(row[1]) + 1j * float(row[2])
     return GridFunction(space, values)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .ensembles import PointSet, SetDescriptor, surface_measure
 from .field import VectorSpace
-from .parallel import parallel_map
 from .rationals import Exact, as_float, exact, is_inf
 from .spectral import (
     FFMeasure,
@@ -204,19 +203,18 @@ class ThresholdReport:
     q_of_lambda: Exact | None
 
 
-def extension_apply(f: GridFunction, mu: FFMeasure,
-                    kernel: str = "auto") -> GridFunction:
+def extension_apply(f: GridFunction, mu: FFMeasure) -> GridFunction:
     """The extension operator A f = (f mu)^."""
-    return fourier_forward(multiply_density(f, mu), kernel=kernel)
+    return fourier_forward(multiply_density(f, mu))
 
 
 def witness_ratio(f: GridFunction, mu: FFMeasure, q: float,
-                  q0: float = 2.0, kernel: str = "auto") -> float:
+                  q0: float = 2.0) -> float:
     """||(f mu)^||_{L^q} / ||f||_{L^{q0}(mu)} for a concrete witness f."""
     denom = lq_mu_norm(f, mu, q0)
     if denom == 0.0:
         raise ValueError("witness is mu-a.e. zero")
-    return lq_norm(extension_apply(f, mu, kernel), q) / denom
+    return lq_norm(extension_apply(f, mu), q) / denom
 
 
 @dataclass(frozen=True)
@@ -226,8 +224,6 @@ class PowerIterConfig:
     tol: float = 1e-8
     seed: int = 0
     dirac_cap: int = 16
-    kernel: str = "auto"
-    threads: int | None = None
 
 
 @dataclass(frozen=True)
@@ -268,8 +264,7 @@ def _ascend(mu: FFMeasure, support: np.ndarray, start: np.ndarray,
     iterations = 0
     for it in range(1, cfg.max_iter + 1):
         iterations = it
-        g = fourier_forward(
-            GridFunction(space, f * weights), kernel=cfg.kernel).values
+        g = fourier_forward(GridFunction(space, f * weights)).values
         new_value = float(np.sum(np.abs(g) ** q) ** (1.0 / q))
         if new_value < value - cfg.tol * max(1.0, value):
             raise RuntimeError(
@@ -282,7 +277,7 @@ def _ascend(mu: FFMeasure, support: np.ndarray, start: np.ndarray,
             break
         value = new_value
         h = np.abs(g) ** (q - 2.0) * g
-        nxt = fourier_inverse(GridFunction(space, h), kernel=cfg.kernel).values
+        nxt = fourier_inverse(GridFunction(space, h)).values
         nxt = np.where(mask, nxt, 0.0)
         norm = l2mu(nxt)
         if norm == 0.0:
@@ -326,16 +321,14 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
         v = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
         starts.append((f"random:{i}", v))
 
-    results = parallel_map(
-        lambda s: _ascend(mu, support, s[1], q, cfg),
-        starts, threads=cfg.threads)
+    results = [_ascend(mu, support, start, q, cfg) for _, start in starts]
 
     best_i = max(range(len(results)), key=lambda i: (results[i][0], -i))
     value, witness_values, iterations, converged = results[best_i]
     tag = starts[best_i][0]
     witness = GridFunction(space, witness_values)
     # certify from the stored witness, not from iteration state
-    certified = witness_ratio(witness, mu, q, 2.0, kernel=cfg.kernel)
+    certified = witness_ratio(witness, mu, q, 2.0)
     if abs(certified - value) > 1e-9 * max(1.0, value):
         raise RuntimeError(
             f"certification mismatch: iterate value {value}, "
@@ -387,7 +380,7 @@ def growth_sweep(builder: Callable[[int], PointSet], q: float,
         est = extension_norm_lower_bound(mu, q, cfg)
         return SweepRow(p, e.space.dimension, est), e.descriptor
 
-    pairs = parallel_map(cell, sizes, threads=cfg.threads)
+    pairs = [cell(p) for p in sizes]
     rows = [row for row, _ in pairs]
     descriptor = pairs[0][1]
     xs = np.log(np.array(sizes, dtype=np.float64))

@@ -70,13 +70,12 @@ class ClosedFormPrediction:
 
 
 def profile(mu: FFMeasure, p_grid: Sequence[float],
-            descriptor: SetDescriptor | None = None,
-            kernel: str = "auto") -> SpectralProfile:
+            descriptor: SetDescriptor | None = None) -> SpectralProfile:
     """One transform, then every requested norm from the same mu^."""
     grid = sorted(set(float(pe) for pe in p_grid))
     if not grid:
         raise ValueError("empty p_grid")
-    mhat = fourier_forward(mu.as_grid(), kernel=kernel)
+    mhat = fourier_forward(mu.as_grid())
     entries = tuple((pe, lp_average_norm(mhat, pe)) for pe in grid)
     support = int(np.count_nonzero(mu.weights))
     return SpectralProfile(descriptor, mu.space.p, mu.space.dimension,
@@ -85,8 +84,7 @@ def profile(mu: FFMeasure, p_grid: Sequence[float],
 
 def fit_salem_exponent(builder: Callable[[int], PointSet], p_exp: float,
                        field_sizes: Sequence[int],
-                       predicted_s: Exact | None = None,
-                       kernel: str = "auto") -> SalemFit:
+                       predicted_s: Exact | None = None) -> SalemFit:
     """Fit s in ||mu^||_p ~ |E|^{-s} over growing base fields.
 
     builder maps a field size p to the family instance in F_p^d.
@@ -103,7 +101,7 @@ def fit_salem_exponent(builder: Callable[[int], PointSet], p_exp: float,
         e = builder(p)
         descriptor = e.descriptor if descriptor is None else descriptor
         mu = surface_measure(e)
-        mhat = fourier_forward(mu.as_grid(), kernel=kernel)
+        mhat = fourier_forward(mu.as_grid())
         norm = lp_average_norm(mhat, p_exp)
         # full-space-like inputs leave only rounding noise off frequency
         # zero; that is a zero norm for fitting purposes
@@ -267,8 +265,7 @@ class UniversalSalemReport:
     passed: bool
 
 
-def check_universal_salem(e: PointSet, p_exp: float,
-                          kernel: str = "auto") -> UniversalSalemReport:
+def check_universal_salem(e: PointSet, p_exp: float) -> UniversalSalemReport:
     """Every set is (p, 1/p)-Salem: ||mu^||_p <= |E|^{-1/p} exactly.
 
     At p = 2 this sharpens to the identity ||mu^||_2^2 = 1/|E| - p^{-d};
@@ -277,7 +274,7 @@ def check_universal_salem(e: PointSet, p_exp: float,
     if p_exp != math.inf and p_exp < 2:
         raise ValueError(f"p_exp must be in [2, inf], got {p_exp}")
     mu = surface_measure(e)
-    mhat = fourier_forward(mu.as_grid(), kernel=kernel)
+    mhat = fourier_forward(mu.as_grid())
     norm = lp_average_norm(mhat, p_exp)
     if p_exp == math.inf:
         bound = 1.0
@@ -288,10 +285,10 @@ def check_universal_salem(e: PointSet, p_exp: float,
                                 ratio <= 1.0 + 1e-9)
 
 
-def universal_l2_identity(e: PointSet, kernel: str = "auto") -> tuple[float, float]:
+def universal_l2_identity(e: PointSet) -> tuple[float, float]:
     """Both sides of ||mu^||_2^2 = 1/|E| - p^{-d} (Plancherel on E/|E|)."""
     mu = surface_measure(e)
-    mhat = fourier_forward(mu.as_grid(), kernel=kernel)
+    mhat = fourier_forward(mu.as_grid())
     lhs = lp_average_norm(mhat, 2.0) ** 2
     rhs = 1.0 / e.cardinality - 1.0 / e.space.size
     return lhs, rhs
@@ -310,14 +307,14 @@ class InterpolatedSalemReport:
 
 
 def check_interpolated_salem(e: PointSet, s_inf: float,
-                             p_grid: Sequence[float] = (2, 4, 8, 16),
-                             kernel: str = "auto") -> InterpolatedSalemReport:
+                             p_grid: Sequence[float] = (2, 4, 8, 16)
+                             ) -> InterpolatedSalemReport:
     """Interpolation between L^2 and L^inf: an (inf, s_inf)-Salem set is
     (p, s_inf + (1 - 2 s_inf)/p)-Salem; reports the measured constants."""
     if not 0 <= s_inf <= 0.5 + 1e-12:
         raise ValueError(f"s_inf must lie in [0, 1/2], got {s_inf}")
     mu = surface_measure(e)
-    mhat = fourier_forward(mu.as_grid(), kernel=kernel)
+    mhat = fourier_forward(mu.as_grid())
     rows = []
     for pe in p_grid:
         pe = float(pe)

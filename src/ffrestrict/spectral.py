@@ -16,22 +16,16 @@ The normalized p-average of a transform excludes the zero frequency:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .field import VectorSpace
 
-# Per-axis kernel switchover: naive O(p^2) matrix product below this,
-# Bluestein chirp-z above.
-NAIVE_KERNEL_MAX_P = 64
-
 # Flipped by the verify module's mutation check; never set directly.
 # Applies to the forward transform only, so the defining-sum and
 # inversion checks detect it.
 _CHARACTER_SIGN_FAULT = False
-
-_BLUESTEIN_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
 
 
 class GridFunction:
@@ -62,10 +56,6 @@ class GridFunction:
         return self._space.size
 
     @classmethod
-    def zero(cls, space: VectorSpace) -> "GridFunction":
-        return cls(space, np.zeros(space.size, dtype=np.complex128))
-
-    @classmethod
     def constant(cls, space: VectorSpace, value: complex = 1.0) -> "GridFunction":
         return cls(space, np.full(space.size, value, dtype=np.complex128))
 
@@ -76,10 +66,6 @@ class GridFunction:
         v = np.zeros(space.size, dtype=np.complex128)
         v[index] = 1.0
         return cls(space, v)
-
-    @classmethod
-    def indicator(cls, space: VectorSpace, membership: np.ndarray) -> "GridFunction":
-        return cls(space, np.asarray(membership, dtype=bool).astype(np.complex128))
 
 
 class FFMeasure:
@@ -141,78 +127,36 @@ def random_function(space: VectorSpace, seed: int,
     return GridFunction(space, v)
 
 
-def _resolve_kernel(space: VectorSpace, kernel: str) -> str:
-    if kernel == "auto":
-        return "naive" if space.p <= NAIVE_KERNEL_MAX_P else "bluestein"
-    if kernel not in ("naive", "bluestein"):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return kernel
+def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
+    """sum_x f(x) chi(sign * xi.x): a numpy FFT along each axis of the
+    (p,)*d cube.
 
-
-def _dft_matrix(space: VectorSpace, sign: int) -> np.ndarray:
-    t = np.arange(space.p)
-    return space.chi_table[(sign * np.outer(t, t)) % space.p]
-
-
-def _bluestein_tables(p: int, sign: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Chirp table, FFT of the wrapped inverse chirp, and padded length.
-
-    The chirp exponents n^2 are reduced mod 2p exactly in integers before
-    the single table lookup, so no phase error accumulates with n.
+    The C-order reshape reverses the coordinate axes; every axis gets the
+    same transform, so the flat order is unchanged.  The values are those
+    of np.fft.fftn (sign -1) or np.fft.ifftn(norm="forward") (sign +1),
+    bit for bit, but every axis after the first is transformed in place
+    instead of into a fresh p^d array.
     """
-    key = (p, sign)
-    cached = _BLUESTEIN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    base = np.exp(sign * 1j * np.pi * np.arange(2 * p) / p)
-    n = np.arange(p, dtype=np.int64)
-    chirp = base[(n * n) % (2 * p)]
-    m = 1 << int(2 * p - 2).bit_length()
-    wrapped = np.zeros(m, dtype=np.complex128)
-    wrapped[:p] = chirp.conj()
-    wrapped[m - p + 1:] = chirp[1:][::-1].conj()
-    fwrapped = np.fft.fft(wrapped)
-    _BLUESTEIN_CACHE[key] = (chirp, fwrapped, m)
-    return chirp, fwrapped, m
-
-
-def _bluestein_rows(rows: np.ndarray, p: int, sign: int) -> np.ndarray:
-    """Length-p DFT with kernel chi(sign * n * k) applied to each row."""
-    chirp, fwrapped, m = _bluestein_tables(p, sign)
-    a = rows * chirp
-    c = np.fft.ifft(np.fft.fft(a, n=m, axis=-1) * fwrapped, axis=-1)
-    return c[..., :p] * chirp
-
-
-def _transform(space: VectorSpace, values: np.ndarray, sign: int,
-               kernel: str) -> np.ndarray:
-    d = space.dimension
-    cube = values.reshape((space.p,) * d)
-    if kernel == "naive":
-        mat = _dft_matrix(space, sign)
-        for ax in range(d):
-            cube = np.moveaxis(
-                np.tensordot(mat, cube, axes=([1], [ax])), 0, ax)
+    if sign < 0:
+        fft, norm = np.fft.fft, "backward"
     else:
-        for ax in range(d):
-            moved = np.moveaxis(cube, ax, -1)
-            shape = moved.shape
-            out = _bluestein_rows(moved.reshape(-1, space.p), space.p, sign)
-            cube = np.moveaxis(out.reshape(shape), -1, ax)
-    return np.ascontiguousarray(cube).reshape(-1)
+        fft, norm = np.fft.ifft, "forward"
+    cube = values.reshape((space.p,) * space.dimension)
+    out = fft(cube, axis=-1, norm=norm)
+    for ax in reversed(range(space.dimension - 1)):
+        fft(out, axis=ax, norm=norm, out=out)
+    return out.reshape(-1)
 
 
-def fourier_forward(f: GridFunction, kernel: str = "auto") -> GridFunction:
-    """f^(xi) = sum_x f(x) chi(-xi.x), by d passes of length-p DFTs."""
-    k = _resolve_kernel(f.space, kernel)
+def fourier_forward(f: GridFunction) -> GridFunction:
+    """f^(xi) = sum_x f(x) chi(-xi.x)."""
     sign = 1 if _CHARACTER_SIGN_FAULT else -1
-    return GridFunction(f.space, _transform(f.space, f.values, sign, k))
+    return GridFunction(f.space, _transform(f.space, f.values, sign))
 
 
-def fourier_inverse(f: GridFunction, kernel: str = "auto") -> GridFunction:
+def fourier_inverse(f: GridFunction) -> GridFunction:
     """f^v(xi) = sum_x f(x) chi(+xi.x); satisfies (f^)^v = p^d f."""
-    k = _resolve_kernel(f.space, kernel)
-    return GridFunction(f.space, _transform(f.space, f.values, +1, k))
+    return GridFunction(f.space, _transform(f.space, f.values, +1))
 
 
 def dft_reference(f: GridFunction, max_points: int = 4096) -> GridFunction:
@@ -262,13 +206,12 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(space, out.reshape(-1))
 
 
-def parseval(f: GridFunction, g: GridFunction,
-             kernel: str = "auto") -> tuple[complex, complex]:
+def parseval(f: GridFunction, g: GridFunction) -> tuple[complex, complex]:
     """Both sides of sum f^ conj(g^) = p^d sum f conj(g), for comparison."""
     if f.space != g.space:
         raise ValueError("parseval requires functions on the same space")
-    fh = fourier_forward(f, kernel).values
-    gh = fourier_forward(g, kernel).values
+    fh = fourier_forward(f).values
+    gh = fourier_forward(g).values
     lhs = complex(np.vdot(gh, fh))
     rhs = f.space.size * complex(np.vdot(g.values, f.values))
     return lhs, rhs
@@ -278,19 +221,20 @@ def lp_average_norm(mhat: GridFunction, p_exp: float) -> float:
     """||mu^||_p over nonzero frequencies, normalized by p^-d.
 
     The xi = 0 term is excluded by masking the zero index, never by
-    subtracting from a power sum.
+    subtracting from a power sum.  The sup M is factored out before
+    powering, M (p^-d sum (|mu^|/M)^p)^(1/p), so large exponents do not
+    underflow to zero.
     """
     if p_exp != math.inf and p_exp < 1:
         raise ValueError(f"p_exp must be >= 1 or inf, got {p_exp}")
     mags = np.abs(mhat.values)
-    if mags.size == 1:
-        return 0.0
-    if p_exp == math.inf:
-        return float(mags[1:].max())
-    n = mhat.space.size
-    mags = mags.copy()
     mags[0] = 0.0
-    return float((np.sum(mags ** p_exp) / n) ** (1.0 / p_exp))
+    top = float(mags.max())
+    if p_exp == math.inf or top == 0.0:
+        return top
+    mags /= top
+    np.power(mags, p_exp, out=mags)
+    return top * float(np.sum(mags) / mhat.space.size) ** (1.0 / p_exp)
 
 
 def multiply_density(f: GridFunction, mu: FFMeasure) -> GridFunction:

@@ -6,7 +6,8 @@ paths.  The mutation check flips the forward character sign and demands
 that the transform-identity suite notices; it guards against the suite
 itself going vacuous.
 
-Scale policy: exhaustive checks for p <= 13, sampled checks up to p = 23.
+Scale policy: exhaustive checks for p <= 13, sampled checks up to p = 23,
+and defining-sum checks of the transform up to p = 127.
 """
 
 from __future__ import annotations
@@ -149,14 +150,14 @@ def _suite_parseval() -> list[CheckResult]:
         denom = float(np.max(np.abs(prod))) or 1.0
         ok = bool(np.max(np.abs(conv - prod)) <= 1e-9 * denom)
         out.append(CheckResult("parseval", f"convolution law F_{p}^{d}", ok))
-    for p in (67, 101):
-        space = _space(p, 1)
-        f = random_function(space, seed=p)
-        a = fourier_forward(f, kernel="naive").values
-        b = fourier_forward(f, kernel="bluestein").values
-        err = float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
-        out.append(CheckResult("parseval", f"kernel equivalence p={p}",
-                               err <= 1e-10, f"rel err = {err:.2e}"))
+    for p, d in ((67, 1), (101, 1), (127, 1), (67, 2)):
+        space = _space(p, d)
+        f = random_function(space, seed=p + d)
+        want = dft_reference(f, max_points=space.size).values
+        got = fourier_forward(f).values
+        err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        out.append(CheckResult("parseval", f"defining sum F_{p}^{d}",
+                               err <= 1e-12, f"rel err = {err:.2e}"))
     return out
 
 

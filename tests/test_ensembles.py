@@ -15,7 +15,6 @@ from ffrestrict.ensembles import (
     is_sidon,
     product,
     random_set,
-    sidon_greedy,
     sidon_parabola,
     sphere,
     sphere_product,
@@ -151,17 +150,6 @@ def test_is_sidon_accepts_tiny_sets():
     memb = np.zeros(13, dtype=bool)
     memb[[0, 1]] = True
     assert is_sidon(PointSet(space, memb, SetDescriptor.make("adhoc")))
-
-
-def test_sidon_greedy_builds_sidon_set():
-    space = _space(23, 1)
-    e = sidon_greedy(space, 4, seed=0)
-    assert is_sidon(e)
-    assert 1 <= e.cardinality <= 4
-    again = sidon_greedy(space, 4, seed=0)
-    assert np.array_equal(e.membership, again.membership)
-    other = sidon_greedy(space, 4, seed=5)
-    assert is_sidon(other)
 
 
 # ------------------------------------------------------------ cylinder

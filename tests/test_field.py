@@ -157,6 +157,9 @@ def test_point_cap_enforced():
     big = VectorSpace(PrimeField(5), 11, max_points=5 ** 11)
     assert big.size == 5 ** 11
     assert DEFAULT_POINT_CAP == 2 ** 24
+    # a huge d is rejected without evaluating p^d
+    with pytest.raises(ValueError, match="max_points"):
+        VectorSpace(PrimeField(3), 10 ** 15)
 
 
 def test_space_equality_and_hash():

@@ -47,6 +47,18 @@ def test_set_file_layout():
     assert indices == list(e.indices())
 
 
+@pytest.mark.parametrize("text", [
+    '{"p":5,"d":1}\n-1\n',
+    '{"p":5,"d":1}\n5\n',
+    '{"p":2147483647,"d":3}\n0\n',
+    '{"d":1}\n0\n',
+], ids=["negative-index", "index-past-end", "header-over-cap",
+        "header-without-p"])
+def test_read_set_rejects_bad_points(text):
+    with pytest.raises(ValueError):
+        reports.read_set(io.StringIO(text))
+
+
 # ------------------------------------------------------- function files
 
 def test_function_file_roundtrip_exact():

@@ -310,17 +310,6 @@ def test_lower_bound_deterministic():
     assert np.array_equal(a.witness.values, b.witness.values)
 
 
-def test_lower_bound_threads_do_not_change_result():
-    space = _space(7, 2)
-    mu = surface_measure(sphere(space, 1))
-    one = extension_norm_lower_bound(mu, 4.0, PowerIterConfig(
-        random_starts=4, threads=1))
-    two = extension_norm_lower_bound(mu, 4.0, PowerIterConfig(
-        random_starts=4, threads=4))
-    assert one.lower_bound == two.lower_bound
-    assert one.witness_tag == two.witness_tag
-
-
 def test_lower_bound_rejects_bad_q():
     space = _space(5, 2)
     mu = surface_measure(sphere(space, 1))

@@ -1,11 +1,14 @@
-"""Transform kernels, Fourier identities, and norm conventions."""
+"""The FFT against the defining sum, Fourier identities, and norm
+conventions."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffrestrict.ensembles import hamming_variety, surface_measure
 from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.spectral import (
     FFMeasure,
@@ -29,10 +32,11 @@ def _space(p, d, cap=None):
     return VectorSpace(PrimeField(p), d, max_points=cap)
 
 
-# ------------------------------------------------------------ kernels
+# ------------------------------------------------------------ transforms
 
 def test_forward_matches_defining_sum():
-    for p, d in [(3, 2), (5, 2), (7, 1), (11, 1), (13, 2), (3, 3)]:
+    for p, d in [(3, 2), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (13, 2),
+                 (3, 3)]:
         space = _space(p, d)
         f = random_function(space, seed=1)
         got = fourier_forward(f).values
@@ -103,38 +107,27 @@ def test_convolution_with_dirac_translates():
     assert np.max(np.abs(moved - translated)) < 1e-12
 
 
-def test_bluestein_matches_naive_small():
-    for p, d in [(5, 2), (13, 1), (7, 2)]:
-        space = _space(p, d)
-        f = random_function(space, seed=8)
-        a = fourier_forward(f, kernel="naive").values
-        b = fourier_forward(f, kernel="bluestein").values
-        assert np.max(np.abs(a - b)) < 1e-10 * np.abs(f.values).sum()
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def test_kernel_equivalence_above_cutoff():
-    # spec pins the two kernels to 1e-10 agreement at p in {67, 101}
-    for p in [67, 101]:
+def test_forward_matches_defining_sum_large_p():
+    for p in [67, 101, 127]:
         space = _space(p, 1)
         f = random_function(space, seed=9)
-        naive = fourier_forward(f, kernel="naive").values
-        blue = fourier_forward(f, kernel="bluestein").values
-        assert np.max(np.abs(naive - blue)) < 1e-10 * np.abs(f.values).sum()
+        assert _rel_err(fourier_forward(f).values,
+                        dft_reference(f).values) <= 1e-12
 
 
-def test_auto_kernel_picks_bluestein_for_large_p():
-    # identical output either way; check the auto path stays exact
-    space = _space(127, 1)
+def test_transforms_match_defining_sum_d2_above_64():
+    space = _space(67, 2)
     f = random_function(space, seed=10)
-    auto = fourier_forward(f).values
-    want = dft_reference(f).values
-    assert np.max(np.abs(auto - want)) < 1e-9 * np.abs(f.values).sum()
-
-
-def test_unknown_kernel_rejected():
-    space = _space(5, 1)
-    with pytest.raises(ValueError):
-        fourier_forward(GridFunction.constant(space), kernel="fft")
+    want = dft_reference(f, max_points=space.size).values
+    assert _rel_err(fourier_forward(f).values, want) <= 1e-12
+    # f^v = conj((conj f)^)
+    conj_f = GridFunction(space, f.values.conj())
+    want_inv = dft_reference(conj_f, max_points=space.size).values.conj()
+    assert _rel_err(fourier_inverse(f).values, want_inv) <= 1e-12
 
 
 # ------------------------------------------------------------ norms
@@ -164,6 +157,34 @@ def test_lp_norm_monotone_in_p():
     vals = [lp_average_norm(f, pe) for pe in grid]
     for lo, hi in zip(vals, vals[1:]):
         assert lo <= hi + 1e-12
+
+
+@pytest.fixture(scope="module")
+def hamming_d4_p17():
+    space = _space(17, 4)
+    return fourier_forward(surface_measure(hamming_variety(space, 1)).as_grid())
+
+
+def test_lp_norm_no_underflow_at_large_exponents(hamming_d4_p17):
+    mhat = hamming_d4_p17
+    grid = [2.0, 4.0, 8.0, 16.0, 50.0, 100.0, 200.0, 400.0, 1000.0,
+            3000.0, 1e4]
+    vals = [lp_average_norm(mhat, pe) for pe in grid]
+    for lo, hi in zip(vals, vals[1:]):
+        assert lo <= hi * (1 + 1e-12)
+    sup = lp_average_norm(mhat, math.inf)
+    assert 0.99 * sup <= vals[-1] <= sup
+
+
+def test_lp_norm_matches_mpmath_at_p400(hamming_d4_p17):
+    mhat = hamming_d4_p17
+    mags = np.abs(mhat.values[1:])
+    with mpmath.workdps(30):
+        total = mpmath.fsum(mpmath.mpf(float(m)) ** 400 for m in mags)
+        want = (total / mhat.space.size) ** (mpmath.mpf(1) / 400)
+        want = float(want)
+    assert want > 0.0
+    assert lp_average_norm(mhat, 400.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_lq_norm_and_mu_norm():
