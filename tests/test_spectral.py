@@ -35,8 +35,7 @@ def _space(p, d, cap=None):
 # ------------------------------------------------------------ transforms
 
 def test_forward_matches_defining_sum():
-    for p, d in [(3, 2), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (13, 2),
-                 (3, 3)]:
+    for p, d in [(3, 2), (5, 2), (7, 1), (11, 1), (13, 2), (3, 3)]:
         space = _space(p, d)
         f = random_function(space, seed=1)
         got = fourier_forward(f).values
@@ -109,6 +108,15 @@ def test_convolution_with_dirac_translates():
 
 def _rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_forward_matches_defining_sum_small_p():
+    for p, d in [(5, 2), (13, 1), (7, 2)]:
+        space = _space(p, d)
+        f = random_function(space, seed=8)
+        got = fourier_forward(f).values
+        want = dft_reference(f).values
+        assert np.max(np.abs(got - want)) < 1e-10 * np.abs(f.values).sum()
 
 
 def test_forward_matches_defining_sum_large_p():
