@@ -104,6 +104,22 @@ def _validate_field_size(p: int, errors: list[str]) -> None:
         errors.append(f"field size {p} is not prime")
 
 
+def _require_point_cap(args: argparse.Namespace, params: dict,
+                       sizes: Sequence[int]) -> None:
+    """Reject a field size whose space exceeds --max-points before any
+    set is built; call once the family and its params are valid."""
+    spec = families.get(args.family)
+    d = spec.dimension(spec.resolve_params(params))
+    cap = args.max_points
+    # p^d >= 2^d, so a d past the cap's bit length fails without
+    # taking the power
+    over = [p for p in sizes if d > cap.bit_length() or p ** d > cap]
+    if over:
+        raise ConfigError([
+            f"p^d = {p}^{d} exceeds the point cap {cap}; raise "
+            "--max-points if this size is intended" for p in over])
+
+
 def _power_config(args: argparse.Namespace) -> PowerIterConfig:
     return PowerIterConfig(
         random_starts=args.starts,
@@ -121,6 +137,7 @@ def cmd_build_set(args: argparse.Namespace) -> int:
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
+    _require_point_cap(args, params, [args.p])
     e = families.build_set(args.family, args.p, params,
                            max_points=args.max_points)
     info = sys.stderr if args.out == "-" else sys.stdout
@@ -156,6 +173,7 @@ def cmd_salem_profile(args: argparse.Namespace) -> int:
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
+    _require_point_cap(args, params, [args.p])
     e = families.build_set(args.family, args.p, params,
                            max_points=args.max_points)
     prof = profile(surface_measure(e), grid, descriptor=e.descriptor)
@@ -180,6 +198,7 @@ def cmd_salem_fit(args: argparse.Namespace) -> int:
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
+    _require_point_cap(args, params, sizes)
     build = families.builder(args.family, params, max_points=args.max_points)
     pred = families.prediction(args.family, params)
     fits = []
@@ -222,6 +241,7 @@ def cmd_ext_norm(args: argparse.Namespace) -> int:
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
+    _require_point_cap(args, params, [args.p])
     e = families.build_set(args.family, args.p, params,
                            max_points=args.max_points)
     est = extension_norm_lower_bound(surface_measure(e), args.q,
@@ -255,6 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
+    _require_point_cap(args, params, sizes)
     build = families.builder(args.family, params, max_points=args.max_points)
     sweep = growth_sweep(build, args.q, sizes, _power_config(args))
     regime = families.regime_label(args.family, params, args.q)

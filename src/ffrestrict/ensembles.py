@@ -45,11 +45,24 @@ class PointSet:
     def __init__(self, space: VectorSpace, membership: np.ndarray,
                  descriptor: SetDescriptor | None = None) -> None:
         memb = np.asarray(membership, dtype=bool)
+        if memb.base is not None or memb.flags.writeable:
+            memb = memb.copy()
+        self._own(space, memb, descriptor)
+
+    @classmethod
+    def _adopt(cls, space: VectorSpace, membership: np.ndarray,
+               descriptor: SetDescriptor | None = None) -> "PointSet":
+        """Wrap a bitmap the package has just made: checked like the
+        public constructor, then frozen in place instead of copied."""
+        e = cls.__new__(cls)
+        e._own(space, np.asarray(membership, dtype=bool), descriptor)
+        return e
+
+    def _own(self, space: VectorSpace, memb: np.ndarray,
+             descriptor: SetDescriptor | None) -> None:
         if memb.shape != (space.size,):
             raise ValueError(
                 f"expected {space.size} membership flags, got {memb.shape}")
-        if memb.base is not None or memb.flags.writeable:
-            memb = memb.copy()
         memb.setflags(write=False)
         self._space = space
         self._membership = memb
@@ -83,8 +96,16 @@ class PointSet:
 
 
 def full_space(space: VectorSpace) -> PointSet:
-    return PointSet(space, np.ones(space.size, dtype=bool),
-                    SetDescriptor.make("full-space", d=space.dimension))
+    return PointSet._adopt(space, np.ones(space.size, dtype=bool),
+                           SetDescriptor.make("full-space", d=space.dimension))
+
+
+# sphere, hamming_variety and sidon_parabola broadcast length-p residue
+# tables over the C-order (p,)*d cube, whose flat order is that of
+# VectorSpace.encode: the last axis is coordinate 0.  Each reduces the
+# other coordinates into a (p,)*(d-1) table and compares it with the
+# length-p table of values that coordinate 0 completes to a member, so
+# no p^d integer array is made.
 
 
 def sphere(space: VectorSpace, r: int) -> PointSet:
@@ -92,14 +113,15 @@ def sphere(space: VectorSpace, r: int) -> PointSet:
     space.field.require_odd("sphere")
     if space.dimension < 2:
         raise ValueError("sphere requires dimension >= 2")
-    r = r % space.p
-    idx = space.all_indices()
-    total = np.zeros(space.size, dtype=np.int64)
-    for ax in range(space.dimension):
-        c = space.coordinate(idx, ax)
-        total = (total + c * c) % space.p
-    return PointSet(space, total == r,
-                    SetDescriptor.make("sphere", k=space.dimension, r=r))
+    p = space.p
+    r = r % p
+    squares = np.arange(p, dtype=np.int64) ** 2 % p
+    total = np.zeros((), dtype=np.int64)
+    for _ in range(space.dimension - 1):
+        total = (total[..., None] + squares) % p
+    memb = total[..., None] == (r - squares) % p
+    return PointSet._adopt(space, memb.reshape(-1),
+                           SetDescriptor.make("sphere", k=space.dimension, r=r))
 
 
 def product(a: PointSet, b: PointSet,
@@ -114,7 +136,7 @@ def product(a: PointSet, b: PointSet,
     target = VectorSpace(fld, dim, max_points=max_points)
     # flat index in the product is ia + p^da * ib
     memb = np.outer(b.membership, a.membership).reshape(-1)
-    return PointSet(target, memb, SetDescriptor.make(
+    return PointSet._adopt(target, memb, SetDescriptor.make(
         "product", da=a.space.dimension, db=b.space.dimension))
 
 
@@ -127,23 +149,29 @@ def sphere_product(space: VectorSpace, k: int, m: int, r: int = 1) -> PointSet:
     memb = factor.membership
     for _ in range(m - 1):
         memb = np.outer(memb, factor.membership).reshape(-1)
-    return PointSet(space, memb,
-                    SetDescriptor.make("sphere-product", k=k, m=m, r=r % space.p))
+    return PointSet._adopt(space, memb, SetDescriptor.make(
+        "sphere-product", k=k, m=m, r=r % space.p))
 
 
 def hamming_variety(space: VectorSpace, j: int) -> PointSet:
     """H_j = {x : prod_k x_k = j}, j != 0; |H_j| = (p-1)^{d-1}."""
-    j = j % space.p
+    p = space.p
+    j = j % p
     if j == 0:
         raise ValueError("hamming variety requires j != 0")
     if space.dimension < 2:
         raise ValueError("hamming variety requires dimension >= 2")
-    idx = space.all_indices()
-    prod = np.ones(space.size, dtype=np.int64)
-    for ax in range(space.dimension):
-        prod = (prod * space.coordinate(idx, ax)) % space.p
-    return PointSet(space, prod == j,
-                    SetDescriptor.make("hamming", d=space.dimension, j=j))
+    residues = np.arange(p, dtype=np.int64)
+    prod = np.ones((), dtype=np.int64)
+    for _ in range(space.dimension - 1):
+        prod = prod[..., None] * residues % p
+    # x_0 completes the product to j iff x_0 != 0 and prod = j / x_0;
+    # -1 matches no residue, so x_0 = 0 never does
+    quotient = np.full(p, -1, dtype=np.int64)
+    quotient[1:] = [j * pow(c, p - 2, p) % p for c in range(1, p)]
+    memb = prod[..., None] == quotient
+    return PointSet._adopt(space, memb.reshape(-1),
+                           SetDescriptor.make("hamming", d=space.dimension, j=j))
 
 
 def sidon_parabola(space: VectorSpace) -> PointSet:
@@ -151,11 +179,12 @@ def sidon_parabola(space: VectorSpace) -> PointSet:
     space.field.require_odd("sidon parabola")
     if space.dimension != 2:
         raise ValueError("sidon parabola lives in dimension 2")
-    idx = space.all_indices()
-    x = space.coordinate(idx, 0)
-    y = space.coordinate(idx, 1)
-    return PointSet(space, y == (x * x) % space.p,
-                    SetDescriptor.make("sidon-parabola", d=2))
+    p = space.p
+    t = np.arange(p, dtype=np.int64)
+    # rows are y = coordinate 1, columns x = coordinate 0
+    memb = t[:, None] == t * t % p
+    return PointSet._adopt(space, memb.reshape(-1),
+                           SetDescriptor.make("sidon-parabola", d=2))
 
 
 def is_sidon(e: PointSet) -> bool:
@@ -191,16 +220,16 @@ def cutoff_cylinder(space: VectorSpace, n: int, m: int, k: int) -> PointSet:
         raise ValueError(f"space dimension must be n+k+1 = {n + k + 1}")
     space.field.require_odd("cutoff cylinder")
     p = space.p
-    idx = space.all_indices()
-    outside = np.zeros(space.size, dtype=bool)
-    for ax in range(m, n):
-        outside |= space.coordinate(idx, ax) != 0
-    qform = np.zeros(space.size, dtype=np.int64)
-    for ax in range(n, n + k + 1):
-        c = space.coordinate(idx, ax)
-        qform = (qform + c * c) % p
-    return PointSet(space, outside & (qform == 1),
-                    SetDescriptor.make("cutoff-cylinder", n=n, m=m, k=k))
+    # C order puts the high-weight coordinates first: the unit sphere on
+    # coordinates n..n+k, the slab on m..n-1 minus its zero point, then
+    # all of F^m on 0..m-1
+    cap = sphere(VectorSpace(space.field, k + 1, max_points=space.size), 1)
+    slab = np.ones(p ** (n - m), dtype=bool)
+    slab[0] = False
+    memb = (cap.membership[:, None, None] & slab[:, None]
+            & np.ones(p ** m, dtype=bool))
+    return PointSet._adopt(space, memb.reshape(-1),
+                           SetDescriptor.make("cutoff-cylinder", n=n, m=m, k=k))
 
 
 def embed(e: PointSet, target: VectorSpace) -> PointSet:
@@ -217,14 +246,14 @@ def embed(e: PointSet, target: VectorSpace) -> PointSet:
     name = f"{desc.family}-embedded" if desc is not None else "embedded"
     params = dict(desc.params) if desc is not None else {}
     params["ambient_d"] = target.dimension
-    return PointSet(target, memb, SetDescriptor.make(name, **params))
+    return PointSet._adopt(target, memb, SetDescriptor.make(name, **params))
 
 
 def surface_measure(e: PointSet) -> FFMeasure:
     """The uniform probability measure mu(x) = E(x)/|E|."""
     if e.cardinality == 0:
         raise ValueError("surface measure of an empty set")
-    return FFMeasure(e.space, e.membership / e.cardinality)
+    return FFMeasure._adopt(e.space, e.membership / e.cardinality)
 
 
 def random_set(space: VectorSpace, density: float, seed: int) -> PointSet:
@@ -235,6 +264,6 @@ def random_set(space: VectorSpace, density: float, seed: int) -> PointSet:
         rng = np.random.default_rng((seed, attempt))
         memb = rng.random(space.size) < density
         if memb.any():
-            return PointSet(space, memb, SetDescriptor.make(
+            return PointSet._adopt(space, memb, SetDescriptor.make(
                 "random", d=space.dimension, seed=seed))
     raise RuntimeError("random_set failed to produce a nonempty set")

@@ -95,8 +95,8 @@ def _cylinder_candidates(params: dict) -> list[Exact]:
 def _build_zero_sphere_product(params: dict, space: VectorSpace) -> PointSet:
     half = VectorSpace(space.field, 3)
     e = product(sphere(half, 0), sphere(half, 1), max_points=space.size)
-    return PointSet(space, e.membership,
-                    SetDescriptor.make("zero-sphere-product"))
+    return PointSet._adopt(space, e.membership,
+                           SetDescriptor.make("zero-sphere-product"))
 
 
 def _build_sidon_embedded(params: dict, space: VectorSpace) -> PointSet:

@@ -112,7 +112,7 @@ def read_set(fp: TextIO, max_points: int = DEFAULT_POINT_CAP) -> PointSet:
             memb[_point_index(space, line)] = True
     desc = SetDescriptor.make(header.get("family", "unknown"),
                               **header.get("params", {}))
-    return PointSet(space, memb, desc)
+    return PointSet._adopt(space, memb, desc)
 
 
 # ----------------------------------------------------------- function files
@@ -143,7 +143,7 @@ def read_function(fp: TextIO,
             raise FileContentError(f"expected index,re,im, got {row}")
         values[_point_index(space, row[0])] = \
             float(row[1]) + 1j * float(row[2])
-    return GridFunction(space, values)
+    return GridFunction._adopt(space, values)
 
 
 # ------------------------------------------------------------- CSV reports

@@ -264,7 +264,7 @@ def _ascend(mu: FFMeasure, support: np.ndarray, start: np.ndarray,
     iterations = 0
     for it in range(1, cfg.max_iter + 1):
         iterations = it
-        g = fourier_forward(GridFunction(space, f * weights)).values
+        g = fourier_forward(GridFunction._adopt(space, f * weights)).values
         new_value = float(np.sum(np.abs(g) ** q) ** (1.0 / q))
         if new_value < value - cfg.tol * max(1.0, value):
             raise RuntimeError(
@@ -277,7 +277,7 @@ def _ascend(mu: FFMeasure, support: np.ndarray, start: np.ndarray,
             break
         value = new_value
         h = np.abs(g) ** (q - 2.0) * g
-        nxt = fourier_inverse(GridFunction(space, h)).values
+        nxt = fourier_inverse(GridFunction._adopt(space, h)).values
         nxt = np.where(mask, nxt, 0.0)
         norm = l2mu(nxt)
         if norm == 0.0:
@@ -326,7 +326,7 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
     best_i = max(range(len(results)), key=lambda i: (results[i][0], -i))
     value, witness_values, iterations, converged = results[best_i]
     tag = starts[best_i][0]
-    witness = GridFunction(space, witness_values)
+    witness = GridFunction._adopt(space, witness_values)
     # certify from the stored witness, not from iteration state
     certified = witness_ratio(witness, mu, q, 2.0)
     if abs(certified - value) > 1e-9 * max(1.0, value):

@@ -33,13 +33,24 @@ class GridFunction:
 
     def __init__(self, space: VectorSpace, values: Iterable[complex]) -> None:
         arr = np.asarray(values, dtype=np.complex128)
+        if arr.base is not None or arr.flags.writeable:
+            arr = arr.copy()
+        self._own(space, arr)
+
+    @classmethod
+    def _adopt(cls, space: VectorSpace, values: np.ndarray) -> "GridFunction":
+        """Wrap an array the package has just made: checked like the
+        public constructor, then frozen in place instead of copied."""
+        f = cls.__new__(cls)
+        f._own(space, np.asarray(values, dtype=np.complex128))
+        return f
+
+    def _own(self, space: VectorSpace, arr: np.ndarray) -> None:
         if arr.shape != (space.size,):
             raise ValueError(
                 f"expected {space.size} values for {space}, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("values must be finite (no NaN/Inf)")
-        if arr.base is not None or arr.flags.writeable:
-            arr = arr.copy()
         arr.setflags(write=False)
         self._space = space
         self._values = arr
@@ -57,7 +68,7 @@ class GridFunction:
 
     @classmethod
     def constant(cls, space: VectorSpace, value: complex = 1.0) -> "GridFunction":
-        return cls(space, np.full(space.size, value, dtype=np.complex128))
+        return cls._adopt(space, np.full(space.size, value, dtype=np.complex128))
 
     @classmethod
     def dirac(cls, space: VectorSpace, index: int = 0) -> "GridFunction":
@@ -65,7 +76,7 @@ class GridFunction:
             raise ValueError(f"index {index} out of range")
         v = np.zeros(space.size, dtype=np.complex128)
         v[index] = 1.0
-        return cls(space, v)
+        return cls._adopt(space, v)
 
 
 class FFMeasure:
@@ -73,6 +84,19 @@ class FFMeasure:
 
     def __init__(self, space: VectorSpace, weights: Iterable[float]) -> None:
         w = np.asarray(weights, dtype=np.float64)
+        if w.base is not None or w.flags.writeable:
+            w = w.copy()
+        self._own(space, w)
+
+    @classmethod
+    def _adopt(cls, space: VectorSpace, weights: np.ndarray) -> "FFMeasure":
+        """Wrap an array the package has just made: checked like the
+        public constructor, then frozen in place instead of copied."""
+        mu = cls.__new__(cls)
+        mu._own(space, np.asarray(weights, dtype=np.float64))
+        return mu
+
+    def _own(self, space: VectorSpace, w: np.ndarray) -> None:
         if w.shape != (space.size,):
             raise ValueError(
                 f"expected {space.size} weights for {space}, got shape {w.shape}")
@@ -83,8 +107,6 @@ class FFMeasure:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        if w.base is not None or w.flags.writeable:
-            w = w.copy()
         w.setflags(write=False)
         self._space = space
         self._weights = w
@@ -104,17 +126,18 @@ class FFMeasure:
         return float(self._weights.max())
 
     def as_grid(self) -> GridFunction:
-        return GridFunction(self._space, self._weights.astype(np.complex128))
+        return GridFunction._adopt(self._space,
+                                   self._weights.astype(np.complex128))
 
     @classmethod
     def uniform(cls, space: VectorSpace) -> "FFMeasure":
-        return cls(space, np.full(space.size, 1.0 / space.size))
+        return cls._adopt(space, np.full(space.size, 1.0 / space.size))
 
     @classmethod
     def point_mass(cls, space: VectorSpace, index: int = 0) -> "FFMeasure":
         w = np.zeros(space.size)
         w[index] = 1.0
-        return cls(space, w)
+        return cls._adopt(space, w)
 
 
 def random_function(space: VectorSpace, seed: int,
@@ -124,7 +147,7 @@ def random_function(space: VectorSpace, seed: int,
     v = rng.standard_normal(space.size)
     if not real:
         v = v + 1j * rng.standard_normal(space.size)
-    return GridFunction(space, v)
+    return GridFunction._adopt(space, v)
 
 
 def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
@@ -151,12 +174,12 @@ def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
 def fourier_forward(f: GridFunction) -> GridFunction:
     """f^(xi) = sum_x f(x) chi(-xi.x)."""
     sign = 1 if _CHARACTER_SIGN_FAULT else -1
-    return GridFunction(f.space, _transform(f.space, f.values, sign))
+    return GridFunction._adopt(f.space, _transform(f.space, f.values, sign))
 
 
 def fourier_inverse(f: GridFunction) -> GridFunction:
     """f^v(xi) = sum_x f(x) chi(+xi.x); satisfies (f^)^v = p^d f."""
-    return GridFunction(f.space, _transform(f.space, f.values, +1))
+    return GridFunction._adopt(f.space, _transform(f.space, f.values, +1))
 
 
 def dft_reference(f: GridFunction, max_points: int = 4096) -> GridFunction:
@@ -177,7 +200,7 @@ def dft_reference(f: GridFunction, max_points: int = 4096) -> GridFunction:
         for ax in range(space.dimension):
             dots += np.outer(space.coordinate(xi, ax), space.coordinate(idx, ax))
         out[start:start + len(xi)] = space.chi_table[(-dots) % space.p] @ f.values
-    return GridFunction(space, out)
+    return GridFunction._adopt(space, out)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -203,7 +226,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         coords = space.decode(int(y))
         # cube axes run from the highest-weight coordinate down
         out += a.values[y] * np.roll(cube, shift=coords[::-1], axis=axes)
-    return GridFunction(space, out.reshape(-1))
+    return GridFunction._adopt(space, out.reshape(-1))
 
 
 def parseval(f: GridFunction, g: GridFunction) -> tuple[complex, complex]:
@@ -241,7 +264,7 @@ def multiply_density(f: GridFunction, mu: FFMeasure) -> GridFunction:
     """The pointwise product (f mu)(x) = f(x) mu(x)."""
     if f.space != mu.space:
         raise ValueError("multiply_density requires a common space")
-    return GridFunction(f.space, f.values * mu.weights)
+    return GridFunction._adopt(f.space, f.values * mu.weights)
 
 
 def lq_norm(f: GridFunction, q: float) -> float:

@@ -51,3 +51,31 @@ def test_traced_fit_and_sweep_report_every_metric(layers, tmp_path, capsys):
     assert tracer.missing == set()
     assert set(tracer.metrics()) == set(layers.METRICS)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("family, grid, sizes", [
+    (["sphere-product", "--k", "2", "--m", "2"], "2,4,inf", "5,7,11,13"),
+    (["cutoff-cylinder", "--n", "2", "--m", "1", "--k", "3"], "2,inf",
+     "3,5,7,11"),
+], ids=["sphere-product", "cutoff-cylinder"])
+def test_traced_fit_builds_and_transforms_once_per_cell(layers, tmp_path,
+                                                        capsys, family, grid,
+                                                        sizes):
+    # the benchmark's per-layer counts assume one build, one transform
+    # and one norm per (exponent, field size)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["salem-fit", "--family", *family, "--p-grid", grid,
+                         "--field-sizes", sizes,
+                         "--out", str(tmp_path / "fit.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.missing == set()
+    metrics = tracer.metrics()
+    cells = len(grid.split(",")) * len(sizes.split(","))
+    assert metrics["ensembles.build_calls"][0] == cells
+    assert metrics["spectral.forward_calls"][0] == cells
+    assert metrics["spectral.norm_calls"][0] == cells
+    assert capsys.readouterr().out == ""

@@ -238,6 +238,21 @@ def test_transform_rejects_bad_function_file(tmp_path, capsys, header, rows):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-set", "--family", "hamming", "--p", "17", "--d", "7"],
+    ["salem-fit", "--family", "hamming", "--d", "6", "--p-grid", "2",
+     "--field-sizes", "5,7,11,13,17"],
+], ids=["build-set", "salem-fit"])
+def test_point_cap_exceeded_by_flags_is_config_error(tmp_path, capsys, argv):
+    code, stdout, err = run_cli(argv + ["--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err and "Traceback" not in err
+    assert "17^" in err and "point cap" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_exit_code_computation_error(tmp_path, capsys):
     bad = tmp_path / "bad.fn"
     bad.write_text("not json\n")

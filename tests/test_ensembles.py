@@ -4,6 +4,7 @@ constructor validation."""
 import numpy as np
 import pytest
 
+from ffrestrict import families
 from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.ensembles import (
     PointSet,
@@ -110,14 +111,15 @@ def test_hamming_cardinality_closed_form():
 
 
 def test_hamming_brute_force():
-    space = _space(5, 3)
-    e = hamming_variety(space, 2)
-    for idx in range(space.size):
-        coords = space.decode(idx)
-        prod = 1
-        for c in coords:
-            prod = (prod * c) % 5
-        assert e.contains(idx) == (prod == 2)
+    for p, d, j in [(5, 3, 2), (3, 4, 1), (7, 2, 3)]:
+        space = _space(p, d)
+        e = hamming_variety(space, j)
+        for idx in range(space.size):
+            coords = space.decode(idx)
+            prod = 1
+            for c in coords:
+                prod = (prod * c) % p
+            assert e.contains(idx) == (prod == j)
 
 
 def test_hamming_rejects_j_zero():
@@ -131,6 +133,16 @@ def test_parabola_frozen_oracle():
     e = sidon_parabola(_space(5, 2))
     assert _points(e) == {(x, (x * x) % 5) for x in range(5)}
     assert e.cardinality == 5
+
+
+def test_sidon_parabola_brute_force():
+    for p in [3, 7, 11]:
+        space = _space(p, 2)
+        e = sidon_parabola(space)
+        for idx in range(space.size):
+            x, y = space.decode(idx)
+            assert e.contains(idx) == (y == x * x % p)
+        assert e.cardinality == p
 
 
 def test_parabola_is_sidon_all_odd_p_to_31():
@@ -156,21 +168,21 @@ def test_is_sidon_accepts_tiny_sets():
 
 def test_cutoff_cylinder_brute_force():
     # (F^n minus F^m) x S_1^k inside F^(n+k+1)
-    p, n, m, k = 3, 2, 1, 3
-    space = _space(p, n + k + 1)
-    e = cutoff_cylinder(space, n, m, k)
-    ball = sphere(_space(p, k + 1), 1)
-    count = 0
-    for idx in range(space.size):
-        coords = space.decode(idx)
-        slab, cap = coords[:n], coords[n:]
-        punctured = any(c != 0 for c in slab[m:])
-        on_sphere = ball.contains(ball.space.encode(cap))
-        inside = punctured and on_sphere
-        assert e.contains(idx) == inside
-        count += inside
-    assert e.cardinality == count
-    assert e.cardinality == (p ** n - p ** m) * ball.cardinality
+    for p, n, m, k in [(3, 2, 1, 3), (3, 3, 1, 5), (3, 3, 2, 3)]:
+        space = _space(p, n + k + 1)
+        e = cutoff_cylinder(space, n, m, k)
+        ball = sphere(_space(p, k + 1), 1)
+        count = 0
+        for idx in range(space.size):
+            coords = space.decode(idx)
+            slab, cap = coords[:n], coords[n:]
+            punctured = any(c != 0 for c in slab[m:])
+            on_sphere = sum(c * c for c in cap) % p == 1
+            inside = punctured and on_sphere
+            assert e.contains(idx) == inside
+            count += inside
+        assert e.cardinality == count
+        assert e.cardinality == (p ** n - p ** m) * ball.cardinality
 
 
 def test_cutoff_cylinder_validation():
@@ -236,6 +248,14 @@ def test_random_set_determinism_and_density():
     assert 0 < a.cardinality < space.size
     # binomial concentration: 121 draws at 1/4
     assert abs(a.cardinality - 121 * 0.25) < 25
+
+
+@pytest.mark.parametrize("name", families.names())
+def test_family_memberships_are_frozen(name):
+    e = families.build_set(name, 5)
+    assert not e.membership.flags.writeable
+    with pytest.raises(ValueError):
+        e.membership[0] = True
 
 
 def test_descriptor_json_stable():

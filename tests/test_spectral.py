@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffrestrict.ensembles import hamming_variety, surface_measure
+from ffrestrict.ensembles import PointSet, hamming_variety, surface_measure
 from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.spectral import (
     FFMeasure,
@@ -230,6 +230,57 @@ def test_grid_function_values_immutable():
     f = GridFunction.constant(space)
     with pytest.raises(ValueError):
         f.values[0] = 7.0
+
+
+def _caller_arrays(n, dtype, fill):
+    """A writeable array, and a read-only view of a writeable base."""
+    plain = np.full(n, fill, dtype=dtype)
+    base = np.full(2 * n, fill, dtype=dtype)
+    view = base[:n]
+    view.setflags(write=False)
+    return [(plain, plain), (view, base)]
+
+
+@pytest.mark.parametrize("kind", ["grid", "measure", "pointset"])
+def test_public_constructors_never_alias_caller_arrays(kind):
+    space = _space(5, 1)
+    make = {
+        "grid": (lambda a: GridFunction(space, a).values, complex, 0.2),
+        "measure": (lambda a: FFMeasure(space, a).weights, float, 0.2),
+        "pointset": (lambda a: PointSet(space, a).membership, bool, True),
+    }
+    build, dtype, fill = make[kind]
+    for arr, owner in _caller_arrays(space.size, dtype, fill):
+        held = build(arr)
+        before = held.copy()
+        owner[:] = 0
+        assert np.array_equal(held, before)
+        assert not held.flags.writeable
+
+
+def test_adopted_arrays_are_checked_like_public_ones():
+    space = _space(5, 1)
+    with pytest.raises(ValueError):
+        GridFunction._adopt(space, np.full(5, np.nan, dtype=complex))
+    with pytest.raises(ValueError):
+        GridFunction._adopt(space, np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError):
+        FFMeasure._adopt(space, np.array([1.5, -0.5, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        FFMeasure._adopt(space, np.full(5, 0.1))
+    with pytest.raises(ValueError):
+        PointSet._adopt(space, np.ones(4, dtype=bool))
+
+
+def test_package_made_arrays_are_frozen():
+    e = hamming_variety(_space(5, 2), 1)
+    mu = surface_measure(e)
+    f = random_function(e.space, seed=3)
+    for arr in (fourier_forward(f).values, fourier_inverse(f).values,
+                mu.as_grid().values, mu.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_measure_normalization_enforced():
