@@ -41,14 +41,8 @@ from .ensembles import (
 from .salem import (
     SpectralProfile,
     SalemFit,
-    ClosedFormPrediction,
     profile,
     fit_salem_exponent,
-    predict_sphere_product,
-    predict_hamming,
-    predict_cutoff_cylinder,
-    predict_zero_sphere_product,
-    predict_sidon,
     hamming_exact_transform,
     hamming_decay_constant,
     check_universal_salem,
@@ -70,6 +64,7 @@ from .restriction import (
     extension_norm_lower_bound,
     growth_sweep,
 )
+from .rationals import Pieces
 from . import families
 
 __all__ = [
@@ -80,15 +75,13 @@ __all__ = [
     "PointSet", "SetDescriptor", "sphere", "product", "hamming_variety",
     "sidon_parabola", "is_sidon", "cutoff_cylinder",
     "embed", "surface_measure", "random_set", "full_space",
-    "SpectralProfile", "SalemFit", "ClosedFormPrediction", "profile",
-    "fit_salem_exponent", "predict_sphere_product", "predict_hamming",
-    "predict_cutoff_cylinder", "predict_zero_sphere_product",
-    "predict_sidon", "hamming_exact_transform", "hamming_decay_constant",
+    "SpectralProfile", "SalemFit", "profile", "fit_salem_exponent",
+    "hamming_exact_transform", "hamming_decay_constant",
     "check_universal_salem", "check_interpolated_salem",
     "ThresholdReport", "ExtensionNormEstimate", "GrowthSweep",
     "PowerIterConfig", "mocktao_threshold", "main_threshold",
     "salem_threshold", "improvement_condition", "optimize_p",
     "interpolation_params", "extension_apply", "witness_ratio",
     "extension_norm_lower_bound", "growth_sweep",
-    "families",
+    "Pieces", "families",
 ]

@@ -14,10 +14,12 @@ import contextlib
 import math
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
 from . import __version__, families, reports, verify
 from .field import DEFAULT_POINT_CAP, is_prime
+from .rationals import Exact
 from .restriction import (
     PowerIterConfig,
     extension_norm_lower_bound,
@@ -52,15 +54,22 @@ def _open_out(path: str) -> Iterator[TextIO]:
             yield fp
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, errors: list[str]) -> list[Exact]:
+    """Exact averaging exponents >= 1 (Fractions, or inf); problems land
+    in `errors`."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        errors.append("empty exponent grid")
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
+    for tok in tokens:
+        try:
+            pe = math.inf if tok in ("inf", "infinity") else Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            errors.append(f"p-grid value {tok!r} is not a number")
             continue
-        out.append(math.inf if tok in ("inf", "infinity") else float(tok))
-    if not out:
-        raise ConfigError(["empty exponent grid"])
+        if pe < 1:
+            errors.append(f"p-grid value {tok} is below 1")
+        out.append(pe)
     return out
 
 
@@ -167,16 +176,15 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_salem_profile(args: argparse.Namespace) -> int:
     errors: list[str] = []
     _validate_field_size(args.p, errors)
-    grid = _parse_grid(args.p_grid)
-    if any(pe < 1 for pe in grid):
-        errors.append(f"p-grid values must be >= 1, got {args.p_grid}")
+    grid = _parse_grid(args.p_grid, errors)
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
     _require_point_cap(args, params, [args.p])
     e = families.build_set(args.family, args.p, params,
                            max_points=args.max_points)
-    prof = profile(surface_measure(e), grid, descriptor=e.descriptor)
+    prof = profile(surface_measure(e), [float(pe) for pe in grid],
+                   descriptor=e.descriptor)
     config = {"command": "salem-profile", "family": args.family,
               "params": families.get(args.family).resolve_params(params),
               "p": args.p, "p_grid": args.p_grid, "seed": args.seed}
@@ -194,17 +202,20 @@ def cmd_salem_fit(args: argparse.Namespace) -> int:
         _validate_field_size(p, errors)
     if len(set(sizes)) < 4:
         errors.append(f">= 4 field sizes required, got {sorted(set(sizes))}")
-    grid = _parse_grid(args.p_grid)
+    grid = _parse_grid(args.p_grid, errors)
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
     _require_point_cap(args, params, sizes)
     build = families.builder(args.family, params, max_points=args.max_points)
     pred = families.prediction(args.family, params)
+    if pred is not None and min(grid) < pred.domain:
+        raise ConfigError([f"{args.family} has a Salem exponent only for "
+                           f"p-grid values >= {pred.domain}"])
     fits = []
     for p_exp in grid:
         predicted = pred.at(p_exp) if pred is not None else None
-        fits.append(fit_salem_exponent(build, p_exp, sizes,
+        fits.append(fit_salem_exponent(build, float(p_exp), sizes,
                                        predicted_s=predicted))
     config = {"command": "salem-fit", "family": args.family,
               "params": families.get(args.family).resolve_params(params),

@@ -257,7 +257,11 @@ def surface_measure(e: PointSet) -> FFMeasure:
 
 
 def random_set(space: VectorSpace, density: float, seed: int) -> PointSet:
-    """Bernoulli(density) membership per point, seeded; retried if empty."""
+    """Bernoulli(density) membership per point, seeded; retried if empty.
+
+    The descriptor records the density as the `random` family's `percent`
+    parameter, rounded to a whole percent.
+    """
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
     for attempt in range(1000):
@@ -265,5 +269,6 @@ def random_set(space: VectorSpace, density: float, seed: int) -> PointSet:
         memb = rng.random(space.size) < density
         if memb.any():
             return PointSet._adopt(space, memb, SetDescriptor.make(
-                "random", d=space.dimension, seed=seed))
+                "random", d=space.dimension, seed=seed,
+                percent=round(100 * density)))
     raise RuntimeError("random_set failed to produce a nonempty set")

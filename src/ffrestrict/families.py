@@ -1,6 +1,6 @@
 """Registry of the named set families: construction at any field size,
-idealized regularity exponents, closed-form Salem predictions, analytic
-candidates for the optimal averaging exponent, and failure thresholds.
+idealized regularity exponents, closed-form Salem exponents s(p) as
+exact pieces, and failure thresholds.
 
 The regularity exponent alpha recorded here is the idealized rational
 value (|E| ~ p^alpha), which is what the threshold formulas consume; the
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .ensembles import (
     PointSet,
@@ -28,15 +28,7 @@ from .ensembles import (
     sphere_product,
 )
 from .field import DEFAULT_POINT_CAP, PrimeField, VectorSpace
-from .rationals import Exact, exact, is_inf
-from .salem import (
-    ClosedFormPrediction,
-    predict_cutoff_cylinder,
-    predict_hamming,
-    predict_sidon,
-    predict_sphere_product,
-    predict_zero_sphere_product,
-)
+from .rationals import Exact, Pieces, is_inf
 from .restriction import (
     ThresholdReport,
     improvement_condition,
@@ -58,8 +50,7 @@ class FamilySpec:
     validate: Callable[[dict], None]
     construct: Callable[[dict, VectorSpace], PointSet]
     alpha: Callable[[dict], Exact] | None = None
-    s_of_p: Callable[[dict, float], Exact] | None = None
-    p_candidates: Callable[[dict], list[Exact]] | None = None
+    pieces: Callable[[dict], Pieces] | None = None
     failure_q: Callable[[dict], Exact] | None = None
 
     def resolve_params(self, given: Mapping[str, int]) -> dict:
@@ -82,14 +73,36 @@ def _check(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _hamming_candidates(params: dict) -> list[Exact]:
-    d = params["d"]
-    return [Fraction(2 * (d - 1), d - 3)] if d >= 4 else []
+def _pieces(lo, *lines) -> Pieces:
+    """s(p) = min over lines (a, b) of a + b/p, for p >= lo."""
+    return Pieces(((lo, lines),))
 
 
-def _cylinder_candidates(params: dict) -> list[Exact]:
-    n, m, k = params["n"], params["m"], params["k"]
-    return [Fraction(2 * (k + 1 + m - n), k + 2 * (m - n))]
+def _sphere_pieces(prm: dict) -> Pieces:
+    if prm["r"] == 0:
+        raise ValueError("no closed-form exponent for the zero sphere")
+    return _pieces(1, (Fraction(1, 2), 0))
+
+
+def _sphere_product_pieces(prm: dict) -> Pieces:
+    # m-fold product of S_r^{k-1} in F^{km}:
+    # s_p = min{(2k(m-1) + p(k-1)) / (2mp(k-1)), 1/2}
+    k, m = prm["k"], prm["m"]
+    return _pieces(2, (Fraction(1, 2 * m), Fraction(k * (m - 1), m * (k - 1))),
+                   (Fraction(1, 2), 0))
+
+
+def _cylinder_pieces(prm: dict) -> Pieces:
+    # (F^n \ F^m) x S_1^k in F^{n+k+1}:
+    # s_p = min{(n/p + k/2)/(n+k), (n-m + m/p + (k+1)/p)/(n+k)}
+    n, m, k = prm["n"], prm["m"], prm["k"]
+    return _pieces(1, (Fraction(k, 2 * (n + k)), Fraction(n, n + k)),
+                   (Fraction(n - m, n + k), Fraction(m + k + 1, n + k)))
+
+
+# a maximal Sidon set (|E| ~ p^{d/2}): s_p = 2/p for p >= 4 (fourth-moment
+# bound), the universal 1/p below that
+_SIDON_PIECES = Pieces(((1, ((0, 1),)), (4, ((0, 2),))))
 
 
 def _build_zero_sphere_product(params: dict, space: VectorSpace) -> PointSet:
@@ -119,16 +132,11 @@ _register(FamilySpec(
                           _check(prm["j"] != 0, "hamming requires j != 0"))[0],
     construct=lambda prm, space: hamming_variety(space, prm["j"]),
     alpha=lambda prm: Fraction(prm["d"] - 1),
-    s_of_p=lambda prm, pe: predict_hamming(prm["d"], pe),
-    p_candidates=_hamming_candidates,
+    # s_p = min{1/(d-1) + 1/p, 1/2}
+    pieces=lambda prm: _pieces(1, (Fraction(1, prm["d"] - 1), 1),
+                               (Fraction(1, 2), 0)),
     failure_q=lambda prm: Fraction(2 * prm["d"], prm["d"] - 1),
 ))
-
-def _sphere_s(prm: dict, pe: float) -> Exact:
-    if prm["r"] == 0:
-        raise ValueError("no closed-form exponent for the zero sphere")
-    return Fraction(1, 2)
-
 
 _register(FamilySpec(
     name="sphere",
@@ -137,8 +145,7 @@ _register(FamilySpec(
     validate=lambda prm: _check(prm["k"] >= 2, "sphere requires k >= 2"),
     construct=lambda prm, space: sphere(space, prm["r"]),
     alpha=lambda prm: Fraction(prm["k"] - 1),
-    s_of_p=_sphere_s,
-    p_candidates=lambda prm: [],
+    pieces=_sphere_pieces,
     failure_q=None,
 ))
 
@@ -152,8 +159,7 @@ _register(FamilySpec(
     construct=lambda prm, space: sphere_product(
         space, prm["k"], prm["m"], prm["r"]),
     alpha=lambda prm: Fraction(prm["m"] * (prm["k"] - 1)),
-    s_of_p=lambda prm, pe: predict_sphere_product(prm["k"], prm["m"], pe),
-    p_candidates=lambda prm: [Fraction(2 * prm["k"], prm["k"] - 1)],
+    pieces=_sphere_product_pieces,
     failure_q=lambda prm: 2 + Fraction(2, prm["k"] - 1),
 ))
 
@@ -164,8 +170,9 @@ _register(FamilySpec(
     validate=lambda prm: None,
     construct=_build_zero_sphere_product,
     alpha=lambda prm: Fraction(4),
-    s_of_p=lambda prm, pe: predict_zero_sphere_product(pe),
-    p_candidates=lambda prm: [Fraction(4)],
+    # S_0^2 x S_1^2: s_p = min{1/8 + 1/p, 3/(4p) + 1/4}
+    pieces=lambda prm: _pieces(1, (Fraction(1, 8), 1),
+                               (Fraction(1, 4), Fraction(3, 4))),
     failure_q=lambda prm: Fraction(4),
 ))
 
@@ -179,9 +186,7 @@ _register(FamilySpec(
     construct=lambda prm, space: cutoff_cylinder(
         space, prm["n"], prm["m"], prm["k"]),
     alpha=lambda prm: Fraction(prm["n"] + prm["k"]),
-    s_of_p=lambda prm, pe: predict_cutoff_cylinder(
-        prm["n"], prm["m"], prm["k"], pe),
-    p_candidates=_cylinder_candidates,
+    pieces=_cylinder_pieces,
     failure_q=lambda prm: Fraction(2 * (prm["k"] + 1), prm["k"]),
 ))
 
@@ -193,8 +198,7 @@ _register(FamilySpec(
                                 "the parabola construction is planar (d=2)"),
     construct=lambda prm, space: sidon_parabola(space),
     alpha=lambda prm: Fraction(1),
-    s_of_p=lambda prm, pe: predict_sidon(pe),
-    p_candidates=lambda prm: [Fraction(4)],
+    pieces=lambda prm: _SIDON_PIECES,
     failure_q=lambda prm: Fraction(4),
 ))
 
@@ -205,7 +209,7 @@ _register(FamilySpec(
     validate=lambda prm: None,
     construct=_build_sidon_embedded,
     alpha=lambda prm: Fraction(1),
-    s_of_p=lambda prm, pe: predict_sidon(pe),
+    pieces=lambda prm: _SIDON_PIECES,
     # the ambient dimension outruns the decay: no finite q admits a
     # uniform estimate, certified by indicator-minus-dirac witnesses
     failure_q=lambda prm: math.inf,
@@ -272,43 +276,32 @@ def builder(name: str, params: Mapping[str, int] | None = None,
 
 
 def prediction(name: str,
-               params: Mapping[str, int] | None = None
-               ) -> ClosedFormPrediction | None:
+               params: Mapping[str, int] | None = None) -> Pieces | None:
+    """The family's closed-form Salem exponent s(p), or None."""
     spec = get(name)
-    if spec.s_of_p is None:
+    if spec.pieces is None:
         return None
-    prm = spec.resolve_params(params or {})
-    return ClosedFormPrediction(
-        spec.name, tuple(sorted(prm.items())),
-        lambda pe: spec.s_of_p(prm, pe))
-
-
-def s_inf(name: str, params: Mapping[str, int] | None = None) -> Exact:
-    pred = prediction(name, params)
-    if pred is None:
-        raise ValueError(f"family {name!r} has no closed-form exponent")
-    return pred.at(math.inf)
+    return spec.pieces(spec.resolve_params(params or {}))
 
 
 def threshold_report(name: str,
                      params: Mapping[str, int] | None = None) -> ThresholdReport:
     """Exact q-range report for a family with a closed-form exponent."""
     spec = get(name)
-    if spec.s_of_p is None:
+    if spec.pieces is None:
         raise ValueError(f"family {name!r} has no closed-form exponent")
     prm = spec.resolve_params(params or {})
     d = spec.dimension(prm)
     alpha = spec.alpha(prm)
-    s_infinity = spec.s_of_p(prm, math.inf)
+    pieces = spec.pieces(prm)
+    s_infinity = pieces.at(math.inf)
     if s_infinity > 0:
         q_mocktao = mocktao_threshold(d, alpha, 2 * alpha * s_infinity)
     else:
         # no uniform decay input; the threshold degenerates
         q_mocktao = math.inf
-    candidates = spec.p_candidates(prm) if spec.p_candidates else []
     try:
-        p_opt, q_opt = optimize_p(
-            lambda pe: spec.s_of_p(prm, pe), d, alpha, candidates)
+        p_opt, q_opt = optimize_p(pieces, d, alpha)
     except ValueError:
         # no admissible averaging exponent anywhere
         return ThresholdReport(
@@ -317,7 +310,7 @@ def threshold_report(name: str,
             beta_p=2 * alpha * s_infinity, q_main=None, q_corollary=None,
             q_mocktao=q_mocktao, improvement=False, lam=None,
             q_of_lambda=None)
-    s_at = spec.s_of_p(prm, p_opt)
+    s_at = pieces.at(p_opt)
     beta_p = 2 * alpha * s_at
     q_main = main_threshold(d, alpha, p_opt, beta_p)
     improvement = improvement_condition(p_opt, s_at, s_infinity)
@@ -336,7 +329,7 @@ def regime_label(name: str, params: Mapping[str, int] | None, q: float) -> str:
     threshold, growing below the failure threshold, untested between."""
     spec = get(name)
     prm = spec.resolve_params(params or {})
-    if spec.s_of_p is not None:
+    if spec.pieces is not None:
         report = threshold_report(name, prm)
         proven = report.q_corollary
         if proven is not None and q >= float(proven) - 1e-12:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensembles import PointSet, SetDescriptor, surface_measure
 from .field import VectorSpace
-from .rationals import Exact, as_float, exact, is_inf
+from .rationals import Exact, Pieces, as_float, exact, is_inf
 from .spectral import (
     FFMeasure,
     GridFunction,
@@ -145,40 +145,41 @@ def interpolation_params(d, alpha, p_exp, beta_p) -> tuple[Exact, Exact, Exact]:
     return lam, q_of_lambda, q0
 
 
-OPTIMIZE_GRID_POINTS = 512
-OPTIMIZE_GRID_RANGE = (2.0, 256.0)
+def optimize_p(pieces: Pieces, d, alpha) -> tuple[Exact, Exact]:
+    """Minimize the Salem-form threshold over the averaging exponent p >= 2.
 
-
-def optimize_p(s_of_p: Callable[[float], Exact], d, alpha,
-               candidates: Sequence[Exact] = ()) -> tuple[Exact, Exact]:
-    """Minimize the Salem-form threshold over the averaging exponent p.
-
-    Evaluates a dense log grid on [2, 256], any family-supplied analytic
-    candidates (exact rationals, e.g. phase-transition points), and
-    p = inf.  Ties break toward smaller p.  Raises when no p is admissible.
+    Where s(p) follows one line a + b/p the threshold is
+    q(p) = 2 + 2(d - alpha)(p - 1) / (alpha(a p + b - 1)), a Moebius map
+    of p.  It is admissible where a p + b >= d/alpha > 1, so it has no
+    pole there and is monotone.  The least attained q therefore sits at
+    p = 2, a segment start, a crossing of two lines of one segment, a
+    line's admissibility boundary p = (d/alpha - b)/a, or p = inf, and
+    only those exact candidates are evaluated.  The open end of a
+    segment at a jump is a limit that s never attains; it is never
+    reported, and since s only rises at a jump it is never below the q
+    attained there.  Ties break on the exact (q, p) order.  Raises when
+    no p is admissible.
     """
     d, alpha = exact(d), exact(alpha)
-    lo, hi = OPTIMIZE_GRID_RANGE
-    grid: list[Exact] = [
-        float(v) for v in np.exp(np.linspace(
-            np.log(lo), np.log(hi), OPTIMIZE_GRID_POINTS))]
-    pool: list[Exact] = list(candidates) + grid + [math.inf]
-    evaluated: list[tuple[float, float, Exact, Exact]] = []
-    for p_exp in pool:
-        if not is_inf(p_exp) and exact(p_exp) < 2:
-            continue
-        q = salem_threshold(d, alpha, p_exp, s_of_p(p_exp))
+    start = max(Fraction(2), pieces.domain)
+    pool = {start}
+    for lo, lines in pieces.segments:
+        pool.add(lo)
+        for i, (a, b) in enumerate(lines):
+            if a != 0:
+                pool.add((d / alpha - b) / a)
+            pool.update((b2 - b) / (a - a2)
+                        for a2, b2 in lines[i + 1:] if a2 != a)
+    best = None
+    for p_exp in [*(p for p in pool if p >= start), math.inf]:
+        q = salem_threshold(d, alpha, p_exp, pieces.at(p_exp))
         # an infinite threshold (vacuous decay input) is no estimate
-        if q is None or is_inf(q):
-            continue
-        evaluated.append((as_float(q), as_float(p_exp), p_exp, q))
-    if not evaluated:
+        if q is not None and not is_inf(q) \
+                and (best is None or (q, p_exp) < best):
+            best = (q, p_exp)
+    if best is None:
         raise ValueError("no admissible averaging exponent p")
-    q_min = min(e[0] for e in evaluated)
-    slack = 1e-12 * max(1.0, abs(q_min)) if math.isfinite(q_min) else 0.0
-    near = [e for e in evaluated if e[0] <= q_min + slack]
-    near.sort(key=lambda e: e[1])
-    _, _, p_opt, q_opt = near[0]
+    q_opt, p_opt = best
     return p_opt, q_opt
 
 

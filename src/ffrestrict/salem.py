@@ -1,6 +1,5 @@
 """Salem exponents: spectral profiles, log-log regression fits across
-growing fields, closed-form predictions per family, and the exact
-Hamming-variety transform.
+growing fields, and the exact Hamming-variety transform.
 
 A set E is (p, s)-Salem when its surface measure satisfies
 ||mu^||_p <= C |E|^{-s} with C independent of the field size.  The
@@ -12,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ensembles import PointSet, SetDescriptor, surface_measure
 from .field import VectorSpace
-from .rationals import Exact, exact, as_float
+from .rationals import Exact
 from .spectral import FFMeasure, fourier_forward, lp_average_norm
 
 
@@ -55,18 +53,6 @@ class SalemFit:
     @property
     def n_points(self) -> int:
         return len(self.field_sizes)
-
-
-@dataclass(frozen=True)
-class ClosedFormPrediction:
-    """A family's predicted optimal Salem exponent as a function of p_exp."""
-
-    family: str
-    params: tuple[tuple[str, int], ...]
-    s_of_p: Callable[[float], Exact]
-
-    def at(self, p_exp: float) -> Exact:
-        return self.s_of_p(p_exp)
 
 
 def profile(mu: FFMeasure, p_grid: Sequence[float],
@@ -118,72 +104,6 @@ def fit_salem_exponent(builder: Callable[[int], PointSet], p_exp: float,
     return SalemFit(descriptor, float(p_exp), float(coeffs[0]),
                     float(np.sqrt(cov[0, 0])), tuple(sizes),
                     tuple(set_sizes), predicted_s)
-
-
-def predict_sphere_product(k: int, m: int, p_exp: float) -> Exact:
-    """Optimal s for the m-fold product of spheres S_r^{k-1} in F^{km}:
-    s_p = min{(2k(m-1) + p(k-1)) / (2mp(k-1)), 1/2}."""
-    if k < 2 or m < 1:
-        raise ValueError(f"need k >= 2 and m >= 1, got k={k}, m={m}")
-    if p_exp == math.inf:
-        return min(Fraction(1, 2 * m), Fraction(1, 2))
-    pe = exact(p_exp)
-    if pe < 2:
-        raise ValueError(f"p_exp must be >= 2, got {p_exp}")
-    branch = Fraction(2 * k * (m - 1)) / (2 * m * pe * (k - 1)) \
-        + Fraction(1, 2 * m)
-    return min(branch, Fraction(1, 2))
-
-
-def predict_hamming(d: int, p_exp: float) -> Exact:
-    """Optimal s for H_j in F^d: s_p = min{1/(d-1) + 1/p, 1/2}."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
-    if p_exp == math.inf:
-        return min(Fraction(1, d - 1), Fraction(1, 2))
-    pe = exact(p_exp)
-    if pe < 1:
-        raise ValueError(f"p_exp must be >= 1, got {p_exp}")
-    return min(Fraction(1, d - 1) + 1 / pe, Fraction(1, 2))
-
-
-def predict_cutoff_cylinder(n: int, m: int, k: int, p_exp: float) -> Exact:
-    """Optimal s for (F^n \\ F^m) x S_1^k in F^{n+k+1}:
-    s_p = min{(n/p + k/2)/(n+k), (n-m + m/p + (k+1)/p)/(n+k)}."""
-    if not n > m >= 1:
-        raise ValueError(f"need n > m >= 1, got n={n}, m={m}")
-    if not k > 2 * (n - m):
-        raise ValueError(f"need k > 2(n-m), got k={k}")
-    if p_exp == math.inf:
-        return Fraction(min(Fraction(k, 2), Fraction(n - m)), n + k)
-    pe = exact(p_exp)
-    if pe < 1:
-        raise ValueError(f"p_exp must be >= 1, got {p_exp}")
-    first = (n / pe + Fraction(k, 2)) / (n + k)
-    second = ((n - m) + m / pe + (k + 1) / pe) / (n + k)
-    return min(first, second)
-
-
-def predict_zero_sphere_product(p_exp: float) -> Exact:
-    """Optimal s for S_0^2 x S_1^2 inside F^6:
-    s_p = min{1/8 + 1/p, 3/(4p) + 1/4}."""
-    if p_exp == math.inf:
-        return Fraction(1, 8)
-    pe = exact(p_exp)
-    if pe < 1:
-        raise ValueError(f"p_exp must be >= 1, got {p_exp}")
-    return min(Fraction(1, 8) + 1 / pe, Fraction(3, 4) / pe + Fraction(1, 4))
-
-
-def predict_sidon(p_exp: float) -> Exact:
-    """Salem exponent of a maximal Sidon set (|E| ~ p^{d/2}): s_p = 2/p
-    for p >= 4 (fourth-moment bound), the universal 1/p below that."""
-    if p_exp == math.inf:
-        return Fraction(0)
-    pe = exact(p_exp)
-    if pe < 1:
-        raise ValueError(f"p_exp must be >= 1, got {p_exp}")
-    return 2 / pe if pe >= 4 else 1 / pe
 
 
 def _hamming_zero_free_value(space: VectorSpace, j: int,

@@ -360,13 +360,20 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 
 def run_suites(names: list[str] | None = None) -> list[CheckResult]:
+    """Run the named suites (default all); a suite that raises is one
+    failed check, and the later suites still run."""
     chosen = names or sorted(SUITES)
-    results: list[CheckResult] = []
     for name in chosen:
         if name not in SUITES:
             raise ValueError(
                 f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-        results.extend(SUITES[name]())
+    results: list[CheckResult] = []
+    for name in chosen:
+        try:
+            results.extend(SUITES[name]())
+        except Exception as exc:
+            results.append(CheckResult(
+                name, "suite raised", False, f"{type(exc).__name__}: {exc}"))
     return results
 
 

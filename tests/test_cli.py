@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -253,6 +254,45 @@ def test_point_cap_exceeded_by_flags_is_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["salem-profile", "--family", "hamming", "--p", "5"],
+    ["salem-fit", "--family", "hamming", "--field-sizes", "5,7,11,13"],
+], ids=["salem-profile", "salem-fit"])
+@pytest.mark.parametrize("grid", ["abc", "nan,2", "2,0.5", "1/0", ","])
+def test_bad_p_grid_is_config_error(tmp_path, capsys, command, grid):
+    code, stdout, err = run_cli(
+        command + ["--p-grid", grid, "--out", str(tmp_path / "x")], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err and "grid" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_p_grid_below_the_family_domain_is_config_error(capsys):
+    code, stdout, err = run_cli(
+        ["salem-fit", "--family", "sphere-product", "--p-grid", "3/2,inf",
+         "--field-sizes", "3,5,7,11"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err and ">= 2" in err
+
+
+def test_p_grid_gives_predictions_exact_exponents(tmp_path, capsys):
+    out = tmp_path / "fit.csv"
+    assert run_cli(["salem-fit", "--family", "hamming", "--d", "4",
+                    "--p-grid", "7.3,10/3,inf", "--field-sizes", "5,7,11,13",
+                    "--out", str(out)], capsys)[0] == 0
+    with open(out) as fp:
+        _, rows = reports.read_csv(fp)
+    # s = 1/3 + 1/p at the exact token 73/10 and at 10/3 (p = 3.33...)
+    assert [r["p_exp"] for r in rows] == ["7.2999999999999998",
+                                          "3.3333333333333335", "inf"]
+    assert [r["predicted_s"] for r in rows] == [
+        reports.f17(Fraction(1, 3) + Fraction(10, 73)), "0.5",
+        reports.f17(Fraction(1, 3))]
+
+
 def test_exit_code_computation_error(tmp_path, capsys):
     bad = tmp_path / "bad.fn"
     bad.write_text("not json\n")
@@ -277,6 +317,26 @@ def test_verify_failure_exits_three(capsys, monkeypatch):
     code, stdout, _ = run_cli(["verify", "--suite", "broken"], capsys)
     assert code == 3
     assert "FAIL broken: always fails" in stdout
+
+
+def test_verify_records_a_raising_suite_and_runs_the_rest(capsys,
+                                                         monkeypatch):
+    def raising_suite():
+        raise RuntimeError("certification mismatch")
+
+    monkeypatch.setitem(verify.SUITES, "aaa-raises", raising_suite)
+    results = verify.run_suites(["aaa-raises", "hamming"])
+    assert results[0] == verify.CheckResult(
+        "aaa-raises", "suite raised", False,
+        "RuntimeError: certification mismatch")
+    assert len(results) > 1
+    assert all(r.suite == "hamming" and r.passed for r in results[1:])
+    code, stdout, err = run_cli(["verify", "--suite", "aaa-raises",
+                                 "--suite", "hamming"], capsys)
+    assert code == 3
+    assert "FAIL aaa-raises: suite raised" in stdout
+    assert "PASS hamming:" in stdout
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------- config file

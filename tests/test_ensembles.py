@@ -250,6 +250,16 @@ def test_random_set_determinism_and_density():
     assert abs(a.cardinality - 121 * 0.25) < 25
 
 
+def test_random_descriptor_carries_density():
+    low = families.build_set("random", 5, {"percent": 20})
+    high = families.build_set("random", 5, {"percent": 60})
+    assert low.descriptor != high.descriptor
+    assert high.descriptor.params_dict() == {"d": 2, "percent": 60,
+                                             "seed": 0}
+    assert random_set(_space(5, 1), 0.3, seed=1).descriptor.params_dict() \
+        == {"d": 1, "percent": 30, "seed": 1}
+
+
 @pytest.mark.parametrize("name", families.names())
 def test_family_memberships_are_frozen(name):
     e = families.build_set(name, 5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.ensembles import (
@@ -30,6 +30,7 @@ from ffrestrict.restriction import (
     witness_ratio,
 )
 from ffrestrict import families
+from ffrestrict.rationals import Pieces
 
 
 def _space(p, d):
@@ -234,15 +235,94 @@ def test_sidon_embedded_inadmissible_everywhere():
 def test_optimize_p_raises_without_admissible_exponent():
     # s = 0 everywhere: every finite p inadmissible, p = inf vacuous
     with pytest.raises(ValueError, match="no admissible"):
-        optimize_p(lambda pe: Fraction(0), 3, Fraction(1))
+        optimize_p(Pieces(((1, ((0, 0),)),)), 3, Fraction(1))
 
 
 def test_optimize_p_prefers_exact_candidate():
-    p_opt, q_opt = optimize_p(
-        lambda pe: families.get("hamming").s_of_p({"d": 4, "j": 1}, pe),
-        4, Fraction(3), [Fraction(6)])
+    p_opt, q_opt = optimize_p(families.prediction("hamming", {"d": 4}),
+                              4, Fraction(3))
     assert p_opt == Fraction(6)
     assert isinstance(q_opt, Fraction)
+
+
+@pytest.mark.parametrize("n,m,k,q", [
+    (3, 1, 5, Fraction(44, 15)),
+    (4, 2, 5, Fraction(44, 15)),
+    (5, 3, 5, Fraction(44, 15)),
+    (6, 4, 5, Fraction(44, 15)),
+    (6, 1, 12, Fraction(43, 18)),
+])
+def test_optimize_p_cutoff_cylinder_crossing_is_exact(n, m, k, q):
+    # the optimum sits on the crossing p = 8, which a float grid point
+    # just below it used to shadow
+    rep = families.threshold_report("cutoff-cylinder",
+                                    {"n": n, "m": m, "k": k})
+    assert rep.optimal_p == Fraction(8)
+    assert isinstance(rep.optimal_p, Fraction)
+    assert rep.q_corollary == q
+    assert rep.q_main == q
+
+
+def test_pieces_evaluate_exactly_and_check_their_shape():
+    sidon = Pieces(((1, ((0, 1),)), (4, ((0, 2),))))
+    assert sidon.at(Fraction(7, 2)) == Fraction(2, 7)
+    assert sidon.at(4) == Fraction(1, 2)
+    assert sidon.at(math.inf) == 0
+    with pytest.raises(ValueError, match="p_exp must be >= 1"):
+        sidon.at(Fraction(1, 2))
+    with pytest.raises(ValueError, match="increase"):
+        Pieces(((2, ((0, 1),)), (2, ((0, 2),))))
+    with pytest.raises(ValueError, match="falls"):
+        Pieces(((1, ((0, 2),)), (4, ((0, 1),))))
+    with pytest.raises(ValueError):
+        Pieces(())
+    with pytest.raises(ValueError, match="zero sphere"):
+        families.prediction("sphere", {"r": 0})
+
+
+def _grid_optimum(pieces, d, alpha):
+    """Least q over the float grid the optimiser once used: 512
+    log-spaced p on [2, 256], and p = inf."""
+    grid = np.exp(np.linspace(np.log(2.0), np.log(256.0), 512))
+    qs = [salem_threshold(d, alpha, pe, pieces.at(pe))
+          for pe in [*(float(v) for v in grid if v >= 2), math.inf]]
+    return min((q for q in qs if q is not None and q != math.inf),
+               default=None)
+
+
+_lines = st.lists(st.tuples(
+    st.fractions(0, Fraction(1, 2), max_denominator=12),
+    st.fractions(0, 1, max_denominator=12)), min_size=1, max_size=3)
+
+
+@st.composite
+def _random_pieces(draw):
+    segments = [(draw(st.sampled_from([1, 2])), draw(_lines))]
+    if draw(st.booleans()):
+        jump = draw(st.fractions(Fraction(5, 2), 64, max_denominator=8))
+        lines = draw(_lines)
+        # s may rise at a jump, as sidon's does at p = 4, never fall
+        assume(min(a + b / jump for a, b in lines)
+               >= min(a + b / jump for a, b in segments[0][1]))
+        segments.append((jump, lines))
+    return Pieces(tuple(segments))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_pieces(), st.integers(2, 8),
+       st.fractions(Fraction(1, 16), Fraction(15, 16), max_denominator=16))
+def test_optimize_p_never_loses_to_the_float_grid(pieces, d, ratio):
+    alpha = d * ratio
+    grid_q = _grid_optimum(pieces, d, alpha)
+    try:
+        p_opt, q_opt = optimize_p(pieces, d, alpha)
+    except ValueError:
+        assert grid_q is None
+        return
+    assert isinstance(p_opt, Fraction) or p_opt == math.inf
+    assert q_opt == salem_threshold(d, alpha, p_opt, pieces.at(p_opt))
+    if grid_q is not None:
+        assert q_opt <= grid_q
 
 
 # ----------------------------------------------- extension lower bounds

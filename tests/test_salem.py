@@ -22,11 +22,6 @@ from ffrestrict.salem import (
     fit_salem_exponent,
     hamming_decay_constant,
     hamming_exact_transform,
-    predict_cutoff_cylinder,
-    predict_hamming,
-    predict_sidon,
-    predict_sphere_product,
-    predict_zero_sphere_product,
     profile,
     universal_l2_identity,
 )
@@ -78,7 +73,8 @@ def test_norm_at_unknown_exponent_raises():
 def test_fit_recovers_hamming_exponent():
     build = families.builder("hamming", {"d": 3})
     fit = fit_salem_exponent(build, 2.0, [5, 7, 11, 13, 17],
-                             predicted_s=predict_hamming(3, 2.0))
+                             predicted_s=families.prediction(
+                                 "hamming", {"d": 3}).at(2))
     # closed form: min(1/(d-1) + 1/p, 1/2) = 1/2 at p_exp = 2
     assert fit.predicted_s == Fraction(1, 2)
     assert abs(fit.fitted_s - 0.5) < 0.1
@@ -158,39 +154,46 @@ def test_hamming_decay_constant_requires_zero_free():
 # ------------------------------------------------------- closed forms
 
 def test_predict_hamming_values():
-    assert predict_hamming(4, 12) == Fraction(5, 12)
-    assert predict_hamming(4, math.inf) == Fraction(1, 3)
-    assert predict_hamming(2, 4) == Fraction(1, 2)
-    assert predict_hamming(3, math.inf) == Fraction(1, 2)
+    def s(d, pe):
+        return families.prediction("hamming", {"d": d}).at(pe)
+    assert s(4, 12) == Fraction(5, 12)
+    assert s(4, math.inf) == Fraction(1, 3)
+    assert s(2, 4) == Fraction(1, 2)
+    assert s(3, math.inf) == Fraction(1, 2)
 
 
 def test_predict_sphere_product_values():
-    assert predict_sphere_product(2, 2, math.inf) == Fraction(1, 4)
-    assert predict_sphere_product(2, 2, 4) == Fraction(1, 2)
-    assert predict_sphere_product(2, 2, 8) == Fraction(3, 8)
+    def s(k, m, pe):
+        return families.prediction("sphere-product", {"k": k, "m": m}).at(pe)
+    assert s(2, 2, math.inf) == Fraction(1, 4)
+    assert s(2, 2, 4) == Fraction(1, 2)
+    assert s(2, 2, 8) == Fraction(3, 8)
     # single sphere: s = 1/2 at every exponent
-    assert predict_sphere_product(3, 1, 2) == Fraction(1, 2)
-    assert predict_sphere_product(3, 1, math.inf) == Fraction(1, 2)
+    assert s(3, 1, 2) == Fraction(1, 2)
+    assert s(3, 1, math.inf) == Fraction(1, 2)
 
 
 def test_predict_cutoff_cylinder_values():
-    assert predict_cutoff_cylinder(2, 1, 3, math.inf) == Fraction(1, 5)
+    pred = families.prediction("cutoff-cylinder", {"n": 2, "m": 1, "k": 3})
+    assert pred.at(math.inf) == Fraction(1, 5)
     # both branches meet at the phase-transition exponent p* = 6
-    assert predict_cutoff_cylinder(2, 1, 3, 6) == Fraction(11, 30)
-    assert predict_cutoff_cylinder(2, 1, 3, 2) == Fraction(1, 2)
+    assert pred.at(6) == Fraction(11, 30)
+    assert pred.at(2) == Fraction(1, 2)
 
 
 def test_predict_zero_sphere_values():
-    assert predict_zero_sphere_product(4) == Fraction(3, 8)
+    pred = families.prediction("zero-sphere-product")
+    assert pred.at(4) == Fraction(3, 8)
     # the cone factor dominates uniform decay: s_inf = 1/8, not 1/4
-    assert predict_zero_sphere_product(math.inf) == Fraction(1, 8)
+    assert pred.at(math.inf) == Fraction(1, 8)
 
 
 def test_predict_sidon_values():
-    assert predict_sidon(4) == Fraction(1, 2)
-    assert predict_sidon(8) == Fraction(1, 4)
-    assert predict_sidon(2) == Fraction(1, 2)
-    assert predict_sidon(math.inf) == 0
+    pred = families.prediction("sidon-parabola")
+    assert pred.at(4) == Fraction(1, 2)
+    assert pred.at(8) == Fraction(1, 4)
+    assert pred.at(2) == Fraction(1, 2)
+    assert pred.at(math.inf) == 0
 
 
 # ------------------------------------------------------ universal salem
