@@ -9,7 +9,7 @@ for the negative direction.
 
 __version__ = "0.1.0"
 
-from .field import PrimeField, VectorSpace, Point, is_prime
+from .field import PrimeField, VectorSpace, is_prime
 from .spectral import (
     GridFunction,
     FFMeasure,
@@ -68,7 +68,7 @@ from .rationals import Pieces
 from . import families
 
 __all__ = [
-    "PrimeField", "VectorSpace", "Point", "is_prime",
+    "PrimeField", "VectorSpace", "is_prime",
     "GridFunction", "FFMeasure", "fourier_forward", "fourier_inverse",
     "dft_reference", "convolve", "parseval", "lp_average_norm",
     "multiply_density", "lq_norm", "lq_mu_norm", "random_function",

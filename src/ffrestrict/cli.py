@@ -15,7 +15,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__, families, reports, verify
 from .field import DEFAULT_POINT_CAP, is_prime
@@ -27,7 +27,7 @@ from .restriction import (
 )
 from .salem import fit_salem_exponent, profile
 from .spectral import fourier_forward, fourier_inverse
-from .ensembles import is_sidon, surface_measure
+from .ensembles import PointSet, is_sidon, surface_measure
 
 
 class ConfigError(Exception):
@@ -62,14 +62,21 @@ def _parse_grid(text: str, errors: list[str]) -> list[Exact]:
         errors.append("empty exponent grid")
     out = []
     for tok in tokens:
+        if tok in ("inf", "infinity"):
+            out.append(math.inf)
+            continue
         try:
-            pe = math.inf if tok in ("inf", "infinity") else Fraction(tok)
-        except (ValueError, ZeroDivisionError):
+            # float() first: it rejects nan and overflow (1e400), and keeps
+            # Fraction from expanding a huge exponent such as 1e-999999999
+            approx = float(Fraction(tok)) if "/" in tok else float(tok)
+            pe = Fraction(tok) if 1 <= approx < math.inf else None
+        except (ValueError, ZeroDivisionError, OverflowError):
             errors.append(f"p-grid value {tok!r} is not a number")
             continue
-        if pe < 1:
-            errors.append(f"p-grid value {tok} is below 1")
-        out.append(pe)
+        if pe is None or pe < 1:
+            errors.append(f"p-grid value {tok} is not a finite number >= 1")
+        else:
+            out.append(pe)
     return out
 
 
@@ -81,9 +88,10 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _family_params(args: argparse.Namespace, errors: list[str]) -> dict:
-    """Collect only the parameters this family actually takes; the common
-    --seed flag doubles as the construction seed for seeded families.
-    Problems land in `errors` so they can be reported together."""
+    """The family's resolved parameters, from the flags it takes; the
+    common --seed flag doubles as the construction seed for seeded
+    families.  Problems land in `errors` so they can be reported
+    together."""
     try:
         spec = families.get(args.family)
     except ValueError as exc:
@@ -96,10 +104,10 @@ def _family_params(args: argparse.Namespace, errors: list[str]) -> dict:
         if key in accepted and value is not None:
             params[key] = value
     try:
-        spec.resolve_params(params)
+        return spec.resolve_params(params)
     except ValueError as exc:
         errors.append(str(exc))
-    return params
+        return {}
 
 
 def _timestamp(args: argparse.Namespace) -> str | None:
@@ -108,17 +116,21 @@ def _timestamp(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _validate_field_size(p: int, errors: list[str]) -> None:
-    if not is_prime(p):
-        errors.append(f"field size {p} is not prime")
+def _family_setup(args: argparse.Namespace, sizes: Sequence[int],
+                  errors: list[str]
+                  ) -> tuple[dict, Callable[[int], PointSet]]:
+    """The resolved family parameters and the family's builder.
 
-
-def _require_point_cap(args: argparse.Namespace, params: dict,
-                       sizes: Sequence[int]) -> None:
-    """Reject a field size whose space exceeds --max-points before any
-    set is built; call once the family and its params are valid."""
-    spec = families.get(args.family)
-    d = spec.dimension(spec.resolve_params(params))
+    `errors` holds the command's own problems.  Every problem is reported
+    at once, field sizes first, and a field size over the point cap is
+    rejected before any set is built.
+    """
+    errors = [f"field size {p} is not prime"
+              for p in sizes if not is_prime(p)] + errors
+    params = _family_params(args, errors)
+    if errors:
+        raise ConfigError(errors)
+    d = families.get(args.family).dimension(params)
     cap = args.max_points
     # p^d >= 2^d, so a d past the cap's bit length fails without
     # taking the power
@@ -127,6 +139,8 @@ def _require_point_cap(args: argparse.Namespace, params: dict,
         raise ConfigError([
             f"p^d = {p}^{d} exceeds the point cap {cap}; raise "
             "--max-points if this size is intended" for p in over])
+    return params, families.builder(args.family, params,
+                                    max_points=cap)
 
 
 def _power_config(args: argparse.Namespace) -> PowerIterConfig:
@@ -141,14 +155,8 @@ def _power_config(args: argparse.Namespace) -> PowerIterConfig:
 # ------------------------------------------------------------- subcommands
 
 def cmd_build_set(args: argparse.Namespace) -> int:
-    errors: list[str] = []
-    _validate_field_size(args.p, errors)
-    params = _family_params(args, errors)
-    if errors:
-        raise ConfigError(errors)
-    _require_point_cap(args, params, [args.p])
-    e = families.build_set(args.family, args.p, params,
-                           max_points=args.max_points)
+    _, build = _family_setup(args, [args.p], [])
+    e = build(args.p)
     info = sys.stderr if args.out == "-" else sys.stdout
     print(f"family: {args.family}", file=info)
     print(f"cardinality: {e.cardinality}", file=info)
@@ -175,18 +183,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def cmd_salem_profile(args: argparse.Namespace) -> int:
     errors: list[str] = []
-    _validate_field_size(args.p, errors)
     grid = _parse_grid(args.p_grid, errors)
-    params = _family_params(args, errors)
-    if errors:
-        raise ConfigError(errors)
-    _require_point_cap(args, params, [args.p])
-    e = families.build_set(args.family, args.p, params,
-                           max_points=args.max_points)
-    prof = profile(surface_measure(e), [float(pe) for pe in grid],
-                   descriptor=e.descriptor)
+    params, build = _family_setup(args, [args.p], errors)
+    prof = profile(build(args.p), grid)
     config = {"command": "salem-profile", "family": args.family,
-              "params": families.get(args.family).resolve_params(params),
+              "params": params,
               "p": args.p, "p_grid": args.p_grid, "seed": args.seed}
     with _open_out(args.out) as fp:
         reports.write_csv(fp, reports.PROFILE_FIELDS,
@@ -198,16 +199,10 @@ def cmd_salem_profile(args: argparse.Namespace) -> int:
 def cmd_salem_fit(args: argparse.Namespace) -> int:
     errors: list[str] = []
     sizes = _parse_sizes(args.field_sizes)
-    for p in sizes:
-        _validate_field_size(p, errors)
     if len(set(sizes)) < 4:
         errors.append(f">= 4 field sizes required, got {sorted(set(sizes))}")
     grid = _parse_grid(args.p_grid, errors)
-    params = _family_params(args, errors)
-    if errors:
-        raise ConfigError(errors)
-    _require_point_cap(args, params, sizes)
-    build = families.builder(args.family, params, max_points=args.max_points)
+    params, build = _family_setup(args, sizes, errors)
     pred = families.prediction(args.family, params)
     if pred is not None and min(grid) < pred.domain:
         raise ConfigError([f"{args.family} has a Salem exponent only for "
@@ -218,7 +213,7 @@ def cmd_salem_fit(args: argparse.Namespace) -> int:
         fits.append(fit_salem_exponent(build, float(p_exp), sizes,
                                        predicted_s=predicted))
     config = {"command": "salem-fit", "family": args.family,
-              "params": families.get(args.family).resolve_params(params),
+              "params": params,
               "p_grid": args.p_grid, "field_sizes": args.field_sizes,
               "seed": args.seed}
     with _open_out(args.out) as fp:
@@ -237,7 +232,7 @@ def cmd_exponents(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError([str(exc)])
     config = {"command": "exponents", "family": args.family,
-              "params": families.get(args.family).resolve_params(params)}
+              "params": params}
     payload = reports.threshold_report_dict(report)
     with _open_out(args.out) as fp:
         reports.write_json_report(fp, payload, config, _timestamp(args))
@@ -246,19 +241,13 @@ def cmd_exponents(args: argparse.Namespace) -> int:
 
 def cmd_ext_norm(args: argparse.Namespace) -> int:
     errors: list[str] = []
-    _validate_field_size(args.p, errors)
     if not 2 <= args.q < math.inf:
         errors.append(f"q must lie in [2, inf), got {args.q}")
-    params = _family_params(args, errors)
-    if errors:
-        raise ConfigError(errors)
-    _require_point_cap(args, params, [args.p])
-    e = families.build_set(args.family, args.p, params,
-                           max_points=args.max_points)
-    est = extension_norm_lower_bound(surface_measure(e), args.q,
+    params, build = _family_setup(args, [args.p], errors)
+    est = extension_norm_lower_bound(surface_measure(build(args.p)), args.q,
                                      _power_config(args))
     config = {"command": "ext-norm", "family": args.family,
-              "params": families.get(args.family).resolve_params(params),
+              "params": params,
               "p": args.p, "q": args.q, "seed": args.seed,
               "starts": args.starts, "max_iter": args.max_iter,
               "tol": args.tol}
@@ -277,21 +266,15 @@ def cmd_ext_norm(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     errors: list[str] = []
     sizes = _parse_sizes(args.field_sizes)
-    for p in sizes:
-        _validate_field_size(p, errors)
     if len(set(sizes)) < 4:
         errors.append(f">= 4 field sizes required, got {sorted(set(sizes))}")
     if not 2 <= args.q < math.inf:
         errors.append(f"q must lie in [2, inf), got {args.q}")
-    params = _family_params(args, errors)
-    if errors:
-        raise ConfigError(errors)
-    _require_point_cap(args, params, sizes)
-    build = families.builder(args.family, params, max_points=args.max_points)
+    params, build = _family_setup(args, sizes, errors)
     sweep = growth_sweep(build, args.q, sizes, _power_config(args))
     regime = families.regime_label(args.family, params, args.q)
     config = {"command": "sweep", "family": args.family,
-              "params": families.get(args.family).resolve_params(params),
+              "params": params,
               "q": args.q, "field_sizes": args.field_sizes,
               "seed": args.seed, "starts": args.starts,
               "max_iter": args.max_iter, "tol": args.tol,

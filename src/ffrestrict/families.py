@@ -50,7 +50,7 @@ class FamilySpec:
     validate: Callable[[dict], None]
     construct: Callable[[dict, VectorSpace], PointSet]
     alpha: Callable[[dict], Exact] | None = None
-    pieces: Callable[[dict], Pieces] | None = None
+    pieces: Callable[[dict], Pieces | None] | None = None
     failure_q: Callable[[dict], Exact] | None = None
 
     def resolve_params(self, given: Mapping[str, int]) -> dict:
@@ -78,9 +78,10 @@ def _pieces(lo, *lines) -> Pieces:
     return Pieces(((lo, lines),))
 
 
-def _sphere_pieces(prm: dict) -> Pieces:
+def _sphere_pieces(prm: dict) -> Pieces | None:
+    # the zero sphere (a cone) has no closed-form exponent
     if prm["r"] == 0:
-        raise ValueError("no closed-form exponent for the zero sphere")
+        return None
     return _pieces(1, (Fraction(1, 2), 0))
 
 
@@ -252,15 +253,6 @@ def get(name: str) -> FamilySpec:
             f"unknown family {name!r}; known: {', '.join(names())}") from None
 
 
-def build_set(name: str, p: int, params: Mapping[str, int] | None = None,
-              max_points: int = DEFAULT_POINT_CAP) -> PointSet:
-    spec = get(name)
-    prm = spec.resolve_params(params or {})
-    space = VectorSpace(PrimeField(p), spec.dimension(prm),
-                        max_points=max_points)
-    return spec.construct(prm, space)
-
-
 def builder(name: str, params: Mapping[str, int] | None = None,
             max_points: int = DEFAULT_POINT_CAP) -> Callable[[int], PointSet]:
     """A field-size-to-instance closure for fits and sweeps."""
@@ -288,12 +280,12 @@ def threshold_report(name: str,
                      params: Mapping[str, int] | None = None) -> ThresholdReport:
     """Exact q-range report for a family with a closed-form exponent."""
     spec = get(name)
-    if spec.pieces is None:
-        raise ValueError(f"family {name!r} has no closed-form exponent")
     prm = spec.resolve_params(params or {})
+    pieces = prediction(name, prm)
+    if pieces is None:
+        raise ValueError(f"family {name!r} has no closed-form exponent")
     d = spec.dimension(prm)
     alpha = spec.alpha(prm)
-    pieces = spec.pieces(prm)
     s_infinity = pieces.at(math.inf)
     if s_infinity > 0:
         q_mocktao = mocktao_threshold(d, alpha, 2 * alpha * s_infinity)
@@ -329,7 +321,7 @@ def regime_label(name: str, params: Mapping[str, int] | None, q: float) -> str:
     threshold, growing below the failure threshold, untested between."""
     spec = get(name)
     prm = spec.resolve_params(params or {})
-    if spec.pieces is not None:
+    if prediction(name, prm) is not None:
         report = threshold_report(name, prm)
         proven = report.q_corollary
         if proven is not None and q >= float(proven) - 1e-12:

@@ -7,8 +7,8 @@ bijection index = sum(coords[i] * p**i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -176,12 +176,13 @@ class VectorSpace:
         return tuple((index // p ** i) % p for i in range(self._dimension))
 
     def coordinate(self, indices: np.ndarray, axis: int) -> np.ndarray:
-        """Coordinate axis of an int array of flat indices, vectorized."""
+        """Coordinates along axis; serves index_add, dft_reference, verify."""
         if not 0 <= axis < self._dimension:
             raise ValueError(f"axis {axis} out of range")
         return (indices // self.p ** axis) % self.p
 
     def all_indices(self) -> np.ndarray:
+        """Every flat index; serves dft_reference and verify."""
         return np.arange(self._size, dtype=np.int64)
 
     def index_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,56 +194,3 @@ class VectorSpace:
             c = (self.coordinate(a, i) + self.coordinate(b, i)) % self.p
             out += c * self.p ** i
         return out
-
-    def index_neg(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        for i in range(self._dimension):
-            out += ((-self.coordinate(a, i)) % self.p) * self.p ** i
-        return out
-
-    def point(self, coords: Sequence[int]) -> "Point":
-        return Point(self, tuple(c % self.p for c in coords))
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of F_p^d with coordinates reduced mod p."""
-
-    space: VectorSpace
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.space.dimension:
-            raise ValueError(
-                f"expected {self.space.dimension} coordinates, "
-                f"got {len(self.coords)}")
-        p = self.space.p
-        if any(not 0 <= c < p for c in self.coords):
-            object.__setattr__(
-                self, "coords", tuple(c % p for c in self.coords))
-
-    @property
-    def index(self) -> int:
-        return self.space.encode(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-
-def dot(x: Point | Sequence[int], y: Point | Sequence[int],
-        space: VectorSpace | None = None) -> int:
-    """Standard dot product sum(x_i * y_i) mod p."""
-    if isinstance(x, Point):
-        space = x.space
-        x = x.coords
-    if isinstance(y, Point):
-        if space is not None and y.space != space:
-            raise ValueError("points live in different spaces")
-        space = y.space
-        y = y.coords
-    if space is None:
-        raise ValueError("space required when both arguments are raw tuples")
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x, y)) % space.p

@@ -15,8 +15,6 @@ from numbers import Rational
 
 Exact = Fraction | float  # Fraction when finite and exact, float otherwise
 
-INF = math.inf
-
 
 def is_inf(x) -> bool:
     return x == math.inf

@@ -90,7 +90,7 @@ def _read_space(fp: TextIO, max_points: int) -> tuple[dict, VectorSpace]:
     try:
         p, d = int(header["p"]), int(header["d"])
         space = VectorSpace(PrimeField(p), d, max_points=max_points)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileContentError(f"bad header {header!r}: {exc}") from None
     return header, space
 
@@ -133,16 +133,19 @@ def read_function(fp: TextIO,
     _, space = _read_space(fp, max_points)
     values = np.zeros(space.size, dtype=np.complex128)
     reader = csv.reader(fp)
-    head = next(reader)
-    if head != ["index", "re", "im"]:
-        raise ValueError(f"unexpected function-file header {head}")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FileContentError(f"expected index,re,im, got {row}")
-        values[_point_index(space, row[0])] = \
-            float(row[1]) + 1j * float(row[2])
+    try:
+        head = next(reader, [])
+        if head != ["index", "re", "im"]:
+            raise ValueError(f"unexpected function-file header {head}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise FileContentError(f"expected index,re,im, got {row}")
+            values[_point_index(space, row[0])] = \
+                float(row[1]) + 1j * float(row[2])
+    except csv.Error as exc:
+        raise FileContentError(f"unreadable row: {exc}") from None
     return GridFunction._adopt(space, values)
 
 

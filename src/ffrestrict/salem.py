@@ -18,7 +18,7 @@ import numpy as np
 from .ensembles import PointSet, SetDescriptor, surface_measure
 from .field import VectorSpace
 from .rationals import Exact
-from .spectral import FFMeasure, fourier_forward, lp_average_norm
+from .spectral import fourier_forward, lp_average_norm
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,20 @@ class SalemFit:
         return len(self.field_sizes)
 
 
-def profile(mu: FFMeasure, p_grid: Sequence[float],
-            descriptor: SetDescriptor | None = None) -> SpectralProfile:
-    """One transform, then every requested norm from the same mu^."""
+def profile(e: PointSet, p_grid: Sequence[float]) -> SpectralProfile:
+    """||mu^||_p of e's surface measure over p_grid, from one transform.
+
+    The only place in this module that transforms: every other Salem
+    quantity reads its norms from here.  The measure is a temporary, so
+    it is freed before the transform allocates its output.
+    """
     grid = sorted(set(float(pe) for pe in p_grid))
     if not grid:
         raise ValueError("empty p_grid")
-    mhat = fourier_forward(mu.as_grid())
+    mhat = fourier_forward(surface_measure(e).as_grid())
     entries = tuple((pe, lp_average_norm(mhat, pe)) for pe in grid)
-    support = int(np.count_nonzero(mu.weights))
-    return SpectralProfile(descriptor, mu.space.p, mu.space.dimension,
-                           support, entries)
+    return SpectralProfile(e.descriptor, e.space.p, e.space.dimension,
+                           e.cardinality, entries)
 
 
 def fit_salem_exponent(builder: Callable[[int], PointSet], p_exp: float,
@@ -84,17 +87,15 @@ def fit_salem_exponent(builder: Callable[[int], PointSet], p_exp: float,
     norms = []
     descriptor = None
     for p in sizes:
-        e = builder(p)
-        descriptor = e.descriptor if descriptor is None else descriptor
-        mu = surface_measure(e)
-        mhat = fourier_forward(mu.as_grid())
-        norm = lp_average_norm(mhat, p_exp)
+        prof = profile(builder(p), [p_exp])
+        descriptor = prof.descriptor if descriptor is None else descriptor
+        norm = prof.norm_at(p_exp)
         # full-space-like inputs leave only rounding noise off frequency
         # zero; that is a zero norm for fitting purposes
         if norm <= 1e-12:
             raise ValueError(
                 f"degenerate input: ||mu^||_{p_exp} = 0 at field size {p}")
-        set_sizes.append(e.cardinality)
+        set_sizes.append(prof.set_size)
         norms.append(norm)
     xs = np.log(np.array(set_sizes, dtype=np.float64))
     ys = -np.log(np.array(norms, dtype=np.float64))
@@ -152,7 +153,7 @@ def hamming_exact_transform(space: VectorSpace, j: int, m) -> complex:
         l >= 1:  (-1)^{d-l} (p-1)^{-(d-l)}   (exact)
         l  = 0:  the direct Kloosterman-type character sum, which obeys
                  |mu^(m)| <= C p^{-(d-1)/2}
-    m may be a Point, a coordinate sequence, or a flat index.
+    m may be a coordinate sequence or a flat index.
     """
     j = j % space.p
     if j == 0:
@@ -193,9 +194,7 @@ def check_universal_salem(e: PointSet, p_exp: float) -> UniversalSalemReport:
     """
     if p_exp != math.inf and p_exp < 2:
         raise ValueError(f"p_exp must be in [2, inf], got {p_exp}")
-    mu = surface_measure(e)
-    mhat = fourier_forward(mu.as_grid())
-    norm = lp_average_norm(mhat, p_exp)
+    norm = profile(e, [p_exp]).norm_at(p_exp)
     if p_exp == math.inf:
         bound = 1.0
     else:
@@ -207,9 +206,7 @@ def check_universal_salem(e: PointSet, p_exp: float) -> UniversalSalemReport:
 
 def universal_l2_identity(e: PointSet) -> tuple[float, float]:
     """Both sides of ||mu^||_2^2 = 1/|E| - p^{-d} (Plancherel on E/|E|)."""
-    mu = surface_measure(e)
-    mhat = fourier_forward(mu.as_grid())
-    lhs = lp_average_norm(mhat, 2.0) ** 2
+    lhs = profile(e, [2.0]).norm_at(2.0) ** 2
     rhs = 1.0 / e.cardinality - 1.0 / e.space.size
     return lhs, rhs
 
@@ -233,14 +230,14 @@ def check_interpolated_salem(e: PointSet, s_inf: float,
     (p, s_inf + (1 - 2 s_inf)/p)-Salem; reports the measured constants."""
     if not 0 <= s_inf <= 0.5 + 1e-12:
         raise ValueError(f"s_inf must lie in [0, 1/2], got {s_inf}")
-    mu = surface_measure(e)
-    mhat = fourier_forward(mu.as_grid())
-    rows = []
-    for pe in p_grid:
-        pe = float(pe)
+    grid = [float(pe) for pe in p_grid]
+    for pe in grid:
         if pe < 2:
             raise ValueError(f"p_exp must be >= 2, got {pe}")
-        norm = lp_average_norm(mhat, pe)
+    prof = profile(e, grid)
+    rows = []
+    for pe in grid:
+        norm = prof.norm_at(pe)
         if pe == math.inf:
             s = s_inf
         else:

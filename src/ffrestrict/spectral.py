@@ -22,11 +22,6 @@ import numpy as np
 
 from .field import VectorSpace
 
-# Flipped by the verify module's mutation check; never set directly.
-# Applies to the forward transform only, so the defining-sum and
-# inversion checks detect it.
-_CHARACTER_SIGN_FAULT = False
-
 
 class GridFunction:
     """A complex-valued function on F_p^d, stored densely by flat index."""
@@ -173,8 +168,7 @@ def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
 
 def fourier_forward(f: GridFunction) -> GridFunction:
     """f^(xi) = sum_x f(x) chi(-xi.x)."""
-    sign = 1 if _CHARACTER_SIGN_FAULT else -1
-    return GridFunction._adopt(f.space, _transform(f.space, f.values, sign))
+    return GridFunction._adopt(f.space, _transform(f.space, f.values, -1))
 
 
 def fourier_inverse(f: GridFunction) -> GridFunction:

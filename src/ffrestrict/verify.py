@@ -71,13 +71,17 @@ class CheckResult:
 
 @contextlib.contextmanager
 def character_sign_fault() -> Iterator[None]:
-    """Flip the sign of the forward-transform character; for mutation
-    testing only.  The defining-sum and inversion checks must fail."""
-    spectral._CHARACTER_SIGN_FAULT = True
+    """Swap in a transform whose character has sign +1 in both
+    directions, so the forward transform is wrong and the inverse is
+    not; for mutation testing only.  The defining-sum and inversion
+    checks must fail.  The original transform is restored on exit."""
+    original = spectral._transform
+    spectral._transform = lambda space, values, sign: original(
+        space, values, +1)
     try:
         yield
     finally:
-        spectral._CHARACTER_SIGN_FAULT = False
+        spectral._transform = original
 
 
 def _space(p: int, d: int) -> VectorSpace:

@@ -2,6 +2,7 @@
 and byte determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -122,6 +123,19 @@ def test_salem_fit_degenerate_family_is_computation_error(tmp_path, capsys):
     assert "degenerate" in err
 
 
+def test_salem_fit_zero_sphere_has_blank_prediction(tmp_path, capsys):
+    out = tmp_path / "fit.csv"
+    code, _, err = run_cli(["salem-fit", "--family", "sphere", "--k", "2",
+                            "--r", "0", "--p-grid", "2,inf",
+                            "--field-sizes", "5,7,11,13",
+                            "--out", str(out)], capsys)
+    assert code == 0, err
+    with open(out) as fp:
+        _, rows = reports.read_csv(fp)
+    assert [r["p_exp"] for r in rows] == ["2", "inf"]
+    assert all(r["predicted_s"] == "" for r in rows)
+
+
 # ------------------------------------------------------------ exponents
 
 def test_exponents_hamming_json(capsys):
@@ -195,6 +209,19 @@ def test_sweep_q6_bounded_regime(tmp_path, capsys):
     assert abs(float(env["config"]["fitted_growth_exponent"])) < 0.2
 
 
+def test_sweep_zero_sphere_is_untested(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(["sweep", "--family", "sphere", "--k", "2",
+                            "--r", "0", "--q", "4",
+                            "--field-sizes", "5,7,11,13", "--starts", "1",
+                            "--out", str(out)], capsys)
+    assert code == 0, err
+    with open(out) as fp:
+        env, rows = reports.read_csv(fp)
+    assert env["config"]["regime"] == "untested"
+    assert [r["regime"] for r in rows] == ["untested"] * 4
+
+
 def test_sweep_single_size_rejected(capsys):
     code, _, err = run_cli(["sweep", "--family", "hamming", "--d", "2",
                             "--q", "6", "--field-sizes", "5"], capsys)
@@ -221,7 +248,9 @@ def test_exit_code_bad_flag(capsys):
     ({"p": 5, "d": 1}, ["-1,1,0"]),
     ({"p": 5, "d": 1}, ["7,1,0"]),
     ({"p": 2147483647, "d": 3}, ["0,1,0"]),
-], ids=["negative-index", "index-past-end", "header-over-cap"])
+    ({"p": math.inf, "d": 1}, ["0,1,0"]),
+], ids=["negative-index", "index-past-end", "header-over-cap",
+        "header-p-infinite"])
 def test_transform_rejects_bad_function_file(tmp_path, capsys, header, rows):
     bad = tmp_path / "bad.fn"
     bad.write_text(json.dumps(header) + "\nindex,re,im\n"
@@ -258,7 +287,8 @@ def test_point_cap_exceeded_by_flags_is_config_error(tmp_path, capsys, argv):
     ["salem-profile", "--family", "hamming", "--p", "5"],
     ["salem-fit", "--family", "hamming", "--field-sizes", "5,7,11,13"],
 ], ids=["salem-profile", "salem-fit"])
-@pytest.mark.parametrize("grid", ["abc", "nan,2", "2,0.5", "1/0", ","])
+@pytest.mark.parametrize("grid", ["abc", "nan,2", "2,0.5", "1/0", ",",
+                                  "2,1e400", "1e-999999999"])
 def test_bad_p_grid_is_config_error(tmp_path, capsys, command, grid):
     code, stdout, err = run_cli(
         command + ["--p-grid", grid, "--out", str(tmp_path / "x")], capsys)

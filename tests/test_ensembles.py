@@ -251,8 +251,8 @@ def test_random_set_determinism_and_density():
 
 
 def test_random_descriptor_carries_density():
-    low = families.build_set("random", 5, {"percent": 20})
-    high = families.build_set("random", 5, {"percent": 60})
+    low = families.builder("random", {"percent": 20})(5)
+    high = families.builder("random", {"percent": 60})(5)
     assert low.descriptor != high.descriptor
     assert high.descriptor.params_dict() == {"d": 2, "percent": 60,
                                              "seed": 0}
@@ -262,7 +262,7 @@ def test_random_descriptor_carries_density():
 
 @pytest.mark.parametrize("name", families.names())
 def test_family_memberships_are_frozen(name):
-    e = families.build_set(name, 5)
+    e = families.builder(name)(5)
     assert not e.membership.flags.writeable
     with pytest.raises(ValueError):
         e.membership[0] = True

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ffrestrict.field import (
     DEFAULT_POINT_CAP,
-    Point,
     PrimeField,
     VectorSpace,
-    dot,
     is_prime,
 )
 
@@ -119,7 +117,8 @@ def test_index_add_and_neg():
         ca, cb = space.decode(int(ia)), space.decode(int(ib))
         expect = tuple((x + y) % 5 for x, y in zip(ca, cb))
         assert space.decode(int(summed[i])) == expect
-    negged = space.index_neg(a)
+    negged = [space.encode(tuple(-c for c in space.decode(int(i))))
+              for i in a]
     zero = space.index_add(a, negged)
     assert np.all(zero == 0)
 
@@ -168,21 +167,6 @@ def test_space_equality_and_hash():
     c = VectorSpace(PrimeField(7), 3)
     assert a == b and hash(a) == hash(b)
     assert a != c
-
-
-def test_point_reduces_coords():
-    space = VectorSpace(PrimeField(5), 2)
-    pt = space.point((7, -1))
-    assert pt.coords == (2, 4)
-    assert pt.index == space.encode((2, 4))
-
-
-def test_dot_product():
-    space = VectorSpace(PrimeField(7), 3)
-    x = space.point((1, 2, 3))
-    y = space.point((4, 5, 6))
-    assert dot(x, y, space.field) == (4 + 10 + 18) % 7
-    assert dot((1, 2, 3), (4, 5, 6), space.field) == (4 + 10 + 18) % 7
 
 
 @settings(max_examples=50, deadline=None)

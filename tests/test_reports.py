@@ -13,7 +13,6 @@ from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.ensembles import hamming_variety, sphere
 from ffrestrict.spectral import random_function
 from ffrestrict.salem import profile
-from ffrestrict.ensembles import surface_measure
 from ffrestrict import families, rationals, reports
 
 
@@ -77,8 +76,7 @@ def test_function_file_roundtrip_exact():
 
 def test_csv_envelope_and_rows():
     e = hamming_variety(_space(5, 2), 1)
-    prof = profile(surface_measure(e), [2, math.inf],
-                   descriptor=e.descriptor)
+    prof = profile(e, [2, math.inf])
     buf = io.StringIO()
     reports.write_csv(buf, reports.PROFILE_FIELDS,
                       reports.profile_rows(prof),
@@ -100,7 +98,7 @@ def test_csv_envelope_and_rows():
 
 def test_csv_deterministic_bytes():
     e = sphere(_space(7, 2), 1)
-    prof = profile(surface_measure(e), [2, 4], descriptor=e.descriptor)
+    prof = profile(e, [2, 4])
     outs = []
     for _ in range(2):
         buf = io.StringIO()

@@ -276,8 +276,10 @@ def test_pieces_evaluate_exactly_and_check_their_shape():
         Pieces(((1, ((0, 2),)), (4, ((0, 1),))))
     with pytest.raises(ValueError):
         Pieces(())
-    with pytest.raises(ValueError, match="zero sphere"):
-        families.prediction("sphere", {"r": 0})
+    # the zero sphere has no closed-form exponent, so no q-range report
+    assert families.prediction("sphere", {"r": 0}) is None
+    with pytest.raises(ValueError, match="no closed-form exponent"):
+        families.threshold_report("sphere", {"r": 0})
 
 
 def _grid_optimum(pieces, d, alpha):

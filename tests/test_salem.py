@@ -2,6 +2,7 @@
 universal Salem properties."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,34 +37,34 @@ def _space(p, d):
 
 def test_profile_matches_direct_norms():
     e = hamming_variety(_space(7, 2), 1)
-    mu = surface_measure(e)
-    prof = profile(mu, [2, 4, math.inf], descriptor=e.descriptor)
-    mhat = fourier_forward(mu.as_grid())
+    prof = profile(e, [2, 4, math.inf])
+    mhat = fourier_forward(surface_measure(e).as_grid())
     for p_exp, norm in prof.entries:
         assert norm == pytest.approx(lp_average_norm(mhat, p_exp))
     assert prof.field_size == 7
     assert prof.dimension == 2
     assert prof.set_size == 6
+    assert prof.descriptor == e.descriptor
     assert prof.norm_at(4.0) == pytest.approx(lp_average_norm(mhat, 4.0))
 
 
 def test_profile_entries_sorted_and_deduplicated():
     e = sphere(_space(5, 2), 1)
-    prof = profile(surface_measure(e), [8, 2, 8, math.inf, 2])
+    prof = profile(e, [8, 2, 8, math.inf, 2])
     assert [pe for pe, _ in prof.entries] == [2.0, 8.0, math.inf]
 
 
 def test_profile_norms_monotone_in_p_exp():
     for p in [5, 7, 11]:
         e = hamming_variety(_space(p, 2), 1)
-        prof = profile(surface_measure(e), [1, 2, 4, 8, 16, math.inf])
+        prof = profile(e, [1, 2, 4, 8, 16, math.inf])
         norms = [n for _, n in prof.entries]
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_norm_at_unknown_exponent_raises():
     e = sphere(_space(5, 2), 1)
-    prof = profile(surface_measure(e), [2])
+    prof = profile(e, [2])
     with pytest.raises(KeyError):
         prof.norm_at(3.0)
 
@@ -80,6 +81,19 @@ def test_fit_recovers_hamming_exponent():
     assert abs(fit.fitted_s - 0.5) < 0.1
     assert fit.n_points == 5
     assert fit.stderr < 0.05
+
+
+def test_fit_frees_the_measure_before_transforming():
+    # the largest cell holds its complex input and output (2 x 16 B per
+    # point); a float64 measure still alive would add another 0.5 x
+    build = families.builder("hamming", {"d": 4})
+    tracemalloc.start()
+    try:
+        fit_salem_exponent(build, 2.0, [5, 7, 11, 31])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * 16 * 31 ** 4
 
 
 def test_fit_requires_four_sizes():

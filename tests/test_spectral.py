@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffrestrict.ensembles import PointSet, hamming_variety, surface_measure
+from ffrestrict import verify
 from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.spectral import (
     FFMeasure,
@@ -136,6 +137,20 @@ def test_transforms_match_defining_sum_d2_above_64():
     conj_f = GridFunction(space, f.values.conj())
     want_inv = dft_reference(conj_f, max_points=space.size).values.conj()
     assert _rel_err(fourier_inverse(f).values, want_inv) <= 1e-12
+
+
+def test_character_sign_fault_is_undone_on_exit():
+    space = _space(7, 2)
+    f = random_function(space, seed=11)
+    want = dft_reference(f).values
+    bound = 1e-10 * np.abs(f.values).sum()
+    with verify.character_sign_fault():
+        assert np.max(np.abs(fourier_forward(f).values - want)) > bound
+    assert np.max(np.abs(fourier_forward(f).values - want)) < bound
+    with pytest.raises(RuntimeError, match="inside"):
+        with verify.character_sign_fault():
+            raise RuntimeError("inside the fault")
+    assert np.max(np.abs(fourier_forward(f).values - want)) < bound
 
 
 # ------------------------------------------------------------ norms
