@@ -88,23 +88,21 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _family_params(args: argparse.Namespace, errors: list[str]) -> dict:
-    """The family's resolved parameters, from the flags it takes; the
-    common --seed flag doubles as the construction seed for seeded
-    families.  Problems land in `errors` so they can be reported
-    together."""
+    """The family's resolved parameters, from every family flag given, so
+    `resolve_params` rejects a flag the family does not take.  --seed is
+    shared with the power iteration, so it is a family parameter only for
+    a family that takes a seed.  Problems land in `errors` so they can
+    be reported together."""
     try:
         spec = families.get(args.family)
     except ValueError as exc:
         errors.append(str(exc))
         return {}
-    accepted = {key for key, _ in spec.param_defaults}
-    params = {}
-    for key in ("d", "j", "k", "m", "r", "n", "seed", "percent"):
-        value = getattr(args, key, None)
-        if key in accepted and value is not None:
-            params[key] = value
+    given = {key: getattr(args, key) for key, _ in _FAMILY_FLAGS}
+    if "seed" in dict(spec.param_defaults):
+        given["seed"] = getattr(args, "seed", None)
     try:
-        return spec.resolve_params(params)
+        return spec.resolve_params(given)
     except ValueError as exc:
         errors.append(str(exc))
         return {}
@@ -309,27 +307,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------ entry point
 
+_FAMILY_FLAGS = (
+    ("d", "ambient dimension parameter"),
+    ("j", "hamming product value"),
+    ("k", "sphere dimension parameter"),
+    ("m", "product or slab parameter"),
+    ("r", "sphere radius"),
+    ("n", "cylinder slab dimension"),
+    ("percent", "random family density in percent"),
+)
+
+
 def _add_family_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True,
                      help=f"one of: {', '.join(families.names())}")
-    sub.add_argument("--d", type=int, help="ambient dimension parameter")
-    sub.add_argument("--j", type=int, help="hamming product value")
-    sub.add_argument("--k", type=int, help="sphere dimension parameter")
-    sub.add_argument("--m", type=int, help="product or slab parameter")
-    sub.add_argument("--r", type=int, help="sphere radius")
-    sub.add_argument("--n", type=int, help="cylinder slab dimension")
-    sub.add_argument("--percent", type=int,
-                     help="random family density in percent")
+    for key, text in _FAMILY_FLAGS:
+        sub.add_argument(f"--{key}", type=int, help=text)
 
 
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
+def _add_common_options(sub: argparse.ArgumentParser, *, seed: bool = True,
+                        max_points: bool = True,
+                        timestamp: bool = True) -> None:
+    """--out, and those of --seed, --max-points and --timestamp that the
+    command reads."""
     sub.add_argument("--out", default="-", help="output path, '-' = stdout")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-points", type=int, default=DEFAULT_POINT_CAP,
-                     help="cap on p^d per constructed space")
-    sub.add_argument("--timestamp", action="store_true",
-                     help="stamp outputs with wall-clock time "
-                          "(default: null for byte-stable output)")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
+    if max_points:
+        sub.add_argument("--max-points", type=int,
+                         default=DEFAULT_POINT_CAP,
+                         help="cap on p^d per constructed space")
+    if timestamp:
+        sub.add_argument("--timestamp", action="store_true",
+                         help="stamp outputs with wall-clock time "
+                              "(default: null for byte-stable output)")
 
 
 def _add_power_options(sub: argparse.ArgumentParser) -> None:
@@ -350,13 +361,13 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("build-set", help="construct a family instance")
     _add_family_options(sub)
     sub.add_argument("--p", type=int, required=True, help="field size")
-    _add_common_options(sub)
+    _add_common_options(sub, timestamp=False)
     sub.set_defaults(func=cmd_build_set)
 
     sub = subs.add_parser("transform", help="Fourier-transform a function file")
     sub.add_argument("--in", dest="infile", required=True)
     sub.add_argument("--inverse", action="store_true")
-    _add_common_options(sub)
+    _add_common_options(sub, seed=False, timestamp=False)
     sub.set_defaults(func=cmd_transform)
 
     sub = subs.add_parser("salem-profile",
@@ -379,7 +390,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("exponents",
                           help="exact q-range report for a family")
     _add_family_options(sub)
-    _add_common_options(sub)
+    _add_common_options(sub, seed=False, max_points=False)
     sub.set_defaults(func=cmd_exponents)
 
     sub = subs.add_parser("ext-norm",

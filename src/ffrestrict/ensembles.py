@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .field import DEFAULT_POINT_CAP, PrimeField, VectorSpace
+from .field import DEFAULT_POINT_CAP, PrimeField, SpaceArray, VectorSpace
 from .spectral import FFMeasure
 
 # is_sidon enumerates all unordered pairs; O(|E|^2) sums.
@@ -39,43 +39,21 @@ class SetDescriptor:
         return f"{self.family}{self.params_json()}"
 
 
-class PointSet:
+class PointSet(SpaceArray):
     """A subset E of F_p^d held as a dense membership bitmap."""
 
-    def __init__(self, space: VectorSpace, membership: np.ndarray,
-                 descriptor: SetDescriptor | None = None) -> None:
-        memb = np.asarray(membership, dtype=bool)
-        if memb.base is not None or memb.flags.writeable:
-            memb = memb.copy()
-        self._own(space, memb, descriptor)
-
-    @classmethod
-    def _adopt(cls, space: VectorSpace, membership: np.ndarray,
-               descriptor: SetDescriptor | None = None) -> "PointSet":
-        """Wrap a bitmap the package has just made: checked like the
-        public constructor, then frozen in place instead of copied."""
-        e = cls.__new__(cls)
-        e._own(space, np.asarray(membership, dtype=bool), descriptor)
-        return e
+    _dtype = bool
+    _noun = "membership flags"
 
     def _own(self, space: VectorSpace, memb: np.ndarray,
-             descriptor: SetDescriptor | None) -> None:
-        if memb.shape != (space.size,):
-            raise ValueError(
-                f"expected {space.size} membership flags, got {memb.shape}")
-        memb.setflags(write=False)
-        self._space = space
-        self._membership = memb
+             descriptor: SetDescriptor | None = None) -> None:
+        super()._own(space, memb)
         self._cardinality = int(memb.sum())
         self.descriptor = descriptor
 
     @property
-    def space(self) -> VectorSpace:
-        return self._space
-
-    @property
     def membership(self) -> np.ndarray:
-        return self._membership
+        return self._array
 
     @property
     def cardinality(self) -> int:
@@ -85,10 +63,10 @@ class PointSet:
         return self._cardinality
 
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(self._membership)
+        return np.flatnonzero(self._array)
 
     def contains(self, index: int) -> bool:
-        return bool(self._membership[index])
+        return bool(self._array[index])
 
     def alpha(self) -> float:
         """Regularity exponent of the surface measure: log|E| / log p."""

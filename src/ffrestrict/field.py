@@ -68,14 +68,8 @@ class PrimeField:
         if self.modulus == 2:
             raise ValueError(f"{context} requires odd characteristic, got p = 2")
 
-    def reduce(self, a: int) -> int:
-        return a % self.modulus
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
@@ -92,9 +86,6 @@ class PrimeField:
         if e < 0:
             return pow(self.inv(a), -e, self.modulus)
         return pow(a, e, self.modulus)
-
-    def units(self) -> range:
-        return range(1, self.modulus)
 
 
 class VectorSpace:
@@ -194,3 +185,46 @@ class VectorSpace:
             c = (self.coordinate(a, i) + self.coordinate(b, i)) % self.p
             out += c * self.p ** i
         return out
+
+
+class SpaceArray:
+    """A read-only dense array over the points of one VectorSpace.
+
+    The ownership rule of the package's value types: the public
+    constructor copies a caller's array, `_adopt` freezes an array the
+    package has just made in place, and both check its shape and the
+    subclass's `_check` first.  Subclasses set `_dtype` and `_noun`.
+    """
+
+    _dtype: type
+    _noun: str
+
+    def __init__(self, space: VectorSpace, array, *args, **kwargs) -> None:
+        arr = np.asarray(array, dtype=self._dtype)
+        if arr.base is not None or arr.flags.writeable:
+            arr = arr.copy()
+        self._own(space, arr, *args, **kwargs)
+
+    @classmethod
+    def _adopt(cls, space: VectorSpace, array, *args, **kwargs):
+        """Wrap an array the package has just made: checked like the
+        public constructor, then frozen in place instead of copied."""
+        obj = cls.__new__(cls)
+        obj._own(space, np.asarray(array, dtype=cls._dtype), *args, **kwargs)
+        return obj
+
+    def _own(self, space: VectorSpace, arr: np.ndarray) -> None:
+        if arr.shape != (space.size,):
+            raise ValueError(f"expected {space.size} {self._noun} for "
+                             f"{space}, got shape {arr.shape}")
+        self._check(arr)
+        arr.setflags(write=False)
+        self._space = space
+        self._array = arr
+
+    def _check(self, arr: np.ndarray) -> None:
+        """The subclass's own checks on an array of the right shape."""
+
+    @property
+    def space(self) -> VectorSpace:
+        return self._space

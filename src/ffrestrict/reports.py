@@ -80,27 +80,51 @@ def write_set(fp: TextIO, e: PointSet) -> None:
 
 
 class FileContentError(ValueError):
-    """A set or function file whose header names no allowed space, or
-    whose rows name points outside it."""
+    """A set or function file that is malformed: a header that names no
+    allowed space, or rows that name no point of it or no finite value."""
+
+
+def _header_int(header: dict, key: str) -> int:
+    value = header[key]
+    # bool is an int subclass, and int() would truncate a float
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _read_space(fp: TextIO, max_points: int) -> tuple[dict, VectorSpace]:
     """The space named by a file's JSON header line, under the point cap."""
-    header = json.loads(fp.readline())
     try:
-        p, d = int(header["p"]), int(header["d"])
+        header = json.loads(fp.readline())
+    except ValueError as exc:
+        raise FileContentError(f"unreadable header line: {exc}") from None
+    try:
+        p, d = _header_int(header, "p"), _header_int(header, "d")
         space = VectorSpace(PrimeField(p), d, max_points=max_points)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileContentError(f"bad header {header!r}: {exc}") from None
     return header, space
 
 
 def _point_index(space: VectorSpace, token: str) -> int:
-    idx = int(token)
+    try:
+        idx = int(token)
+    except ValueError:
+        raise FileContentError(f"index {token!r} is not an integer") from None
     if not 0 <= idx < space.size:
         raise FileContentError(
             f"index {idx} out of range [0, {space.size}) for {space}")
     return idx
+
+
+def _finite(token: str) -> float:
+    try:
+        x = float(token)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise FileContentError(f"value {token!r} is not a finite number")
+    return x
 
 
 def read_set(fp: TextIO, max_points: int = DEFAULT_POINT_CAP) -> PointSet:
@@ -132,19 +156,23 @@ def read_function(fp: TextIO,
                   max_points: int = DEFAULT_POINT_CAP) -> GridFunction:
     _, space = _read_space(fp, max_points)
     values = np.zeros(space.size, dtype=np.complex128)
+    seen = np.zeros(space.size, dtype=bool)
     reader = csv.reader(fp)
     try:
         head = next(reader, [])
         if head != ["index", "re", "im"]:
-            raise ValueError(f"unexpected function-file header {head}")
+            raise FileContentError(f"unexpected function-file header {head}")
         for row in reader:
             if not row:
                 continue
             if len(row) != 3:
                 raise FileContentError(f"expected index,re,im, got {row}")
-            values[_point_index(space, row[0])] = \
-                float(row[1]) + 1j * float(row[2])
-    except csv.Error as exc:
+            idx = _point_index(space, row[0])
+            if seen[idx]:
+                raise FileContentError(f"index {idx} appears twice")
+            seen[idx] = True
+            values[idx] = _finite(row[1]) + 1j * _finite(row[2])
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise FileContentError(f"unreadable row: {exc}") from None
     return GridFunction._adopt(space, values)
 

@@ -224,7 +224,10 @@ class PowerIterConfig:
     max_iter: int = 500
     tol: float = 1e-8
     seed: int = 0
-    dirac_cap: int = 16
+
+
+# the ascent starts from a Dirac mass at each of the first support points
+DIRAC_STARTS = 16
 
 
 @dataclass(frozen=True)
@@ -292,8 +295,8 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
                                config: PowerIterConfig | None = None
                                ) -> ExtensionNormEstimate:
     """Best certified lower bound on ||A||_{L^2(mu) -> L^q} over a
-    multistart ascent: constant, Dirac at the first <= dirac_cap support
-    points, indicator-minus-dirac, and seeded random starts.
+    multistart ascent: constant, Dirac at the first <= DIRAC_STARTS
+    support points, indicator-minus-dirac, and seeded random starts.
 
     Maximizing ||A f||_q on the L^2(mu) sphere is nonconvex for q > 2, so
     the result is a lower bound, not the norm.  Deterministic given
@@ -309,7 +312,7 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
 
     starts: list[tuple[str, np.ndarray]] = []
     starts.append(("constant", np.ones(space.size, dtype=np.complex128)))
-    for idx in support[:cfg.dirac_cap]:
+    for idx in support[:DIRAC_STARTS]:
         v = np.zeros(space.size, dtype=np.complex128)
         v[idx] = 1.0
         starts.append((f"dirac:{int(idx)}", v))
@@ -356,14 +359,6 @@ class GrowthSweep:
     q: float
     rows: tuple[SweepRow, ...]
     fitted_growth_exponent: float
-
-    @property
-    def field_sizes(self) -> tuple[int, ...]:
-        return tuple(r.p for r in self.rows)
-
-    @property
-    def lower_bounds(self) -> tuple[float, ...]:
-        return tuple(r.estimate.lower_bound for r in self.rows)
 
 
 def growth_sweep(builder: Callable[[int], PointSet], q: float,

@@ -219,9 +219,6 @@ class InterpolatedSalemReport:
     rows: tuple[tuple[float, float, float, float], ...]
     # rows: (p_exp, norm, bound, constant)
 
-    def max_constant(self) -> float:
-        return max(r[3] for r in self.rows)
-
 
 def check_interpolated_salem(e: PointSet, s_inf: float,
                              p_grid: Sequence[float] = (2, 4, 8, 16)

@@ -16,47 +16,25 @@ The normalized p-average of a transform excludes the zero frequency:
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
-from .field import VectorSpace
+from .field import SpaceArray, VectorSpace
 
 
-class GridFunction:
+class GridFunction(SpaceArray):
     """A complex-valued function on F_p^d, stored densely by flat index."""
 
-    def __init__(self, space: VectorSpace, values: Iterable[complex]) -> None:
-        arr = np.asarray(values, dtype=np.complex128)
-        if arr.base is not None or arr.flags.writeable:
-            arr = arr.copy()
-        self._own(space, arr)
+    _dtype = np.complex128
+    _noun = "values"
 
-    @classmethod
-    def _adopt(cls, space: VectorSpace, values: np.ndarray) -> "GridFunction":
-        """Wrap an array the package has just made: checked like the
-        public constructor, then frozen in place instead of copied."""
-        f = cls.__new__(cls)
-        f._own(space, np.asarray(values, dtype=np.complex128))
-        return f
-
-    def _own(self, space: VectorSpace, arr: np.ndarray) -> None:
-        if arr.shape != (space.size,):
-            raise ValueError(
-                f"expected {space.size} values for {space}, got shape {arr.shape}")
+    def _check(self, arr: np.ndarray) -> None:
         if not np.all(np.isfinite(arr)):
             raise ValueError("values must be finite (no NaN/Inf)")
-        arr.setflags(write=False)
-        self._space = space
-        self._values = arr
-
-    @property
-    def space(self) -> VectorSpace:
-        return self._space
 
     @property
     def values(self) -> np.ndarray:
-        return self._values
+        return self._array
 
     def __len__(self) -> int:
         return self._space.size
@@ -74,27 +52,13 @@ class GridFunction:
         return cls._adopt(space, v)
 
 
-class FFMeasure:
+class FFMeasure(SpaceArray):
     """A probability measure on F_p^d: nonnegative weights summing to 1."""
 
-    def __init__(self, space: VectorSpace, weights: Iterable[float]) -> None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.base is not None or w.flags.writeable:
-            w = w.copy()
-        self._own(space, w)
+    _dtype = np.float64
+    _noun = "weights"
 
-    @classmethod
-    def _adopt(cls, space: VectorSpace, weights: np.ndarray) -> "FFMeasure":
-        """Wrap an array the package has just made: checked like the
-        public constructor, then frozen in place instead of copied."""
-        mu = cls.__new__(cls)
-        mu._own(space, np.asarray(weights, dtype=np.float64))
-        return mu
-
-    def _own(self, space: VectorSpace, w: np.ndarray) -> None:
-        if w.shape != (space.size,):
-            raise ValueError(
-                f"expected {space.size} weights for {space}, got shape {w.shape}")
+    def _check(self, w: np.ndarray) -> None:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if np.any(w < 0):
@@ -102,37 +66,21 @@ class FFMeasure:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        w.setflags(write=False)
-        self._space = space
-        self._weights = w
-
-    @property
-    def space(self) -> VectorSpace:
-        return self._space
 
     @property
     def weights(self) -> np.ndarray:
-        return self._weights
+        return self._array
 
     def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._weights)
-
-    def max_weight(self) -> float:
-        return float(self._weights.max())
+        return np.flatnonzero(self._array)
 
     def as_grid(self) -> GridFunction:
         return GridFunction._adopt(self._space,
-                                   self._weights.astype(np.complex128))
+                                   self._array.astype(np.complex128))
 
     @classmethod
     def uniform(cls, space: VectorSpace) -> "FFMeasure":
         return cls._adopt(space, np.full(space.size, 1.0 / space.size))
-
-    @classmethod
-    def point_mass(cls, space: VectorSpace, index: int = 0) -> "FFMeasure":
-        w = np.zeros(space.size)
-        w[index] = 1.0
-        return cls._adopt(space, w)
 
 
 def random_function(space: VectorSpace, seed: int,

@@ -45,6 +45,7 @@ from .restriction import (
 )
 from .salem import (
     check_universal_salem,
+    hamming_decay_constant,
     hamming_exact_transform,
     universal_l2_identity,
 )
@@ -207,13 +208,11 @@ def _suite_hamming() -> list[CheckResult]:
             worst_c = 0.0
             for m in range(space.size):
                 coords = space.decode(m)
-                zeros = sum(1 for c in coords if c == 0)
                 exactv = hamming_exact_transform(space, 1, coords)
-                if zeros >= 1:
-                    worst = max(worst, abs(mhat[m] - exactv))
-                else:
-                    worst = max(worst, abs(mhat[m] - exactv))
-                    worst_c = max(worst_c, abs(exactv) * p ** ((d - 1) / 2))
+                worst = max(worst, abs(mhat[m] - exactv))
+                if all(coords):
+                    worst_c = max(worst_c,
+                                  hamming_decay_constant(space, 1, coords))
             out.append(CheckResult(
                 "hamming", f"closed form p={p} d={d}", worst <= 1e-12,
                 f"max |diff| = {worst:.2e}"))

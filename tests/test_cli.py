@@ -1,6 +1,7 @@
 """Command-line behavior: contract examples, exit codes, config files,
 and byte determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -244,17 +245,91 @@ def test_exit_code_bad_flag(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("header, rows", [
-    ({"p": 5, "d": 1}, ["-1,1,0"]),
-    ({"p": 5, "d": 1}, ["7,1,0"]),
-    ({"p": 2147483647, "d": 3}, ["0,1,0"]),
-    ({"p": math.inf, "d": 1}, ["0,1,0"]),
+@pytest.mark.parametrize("argv, message", [
+    (["exponents", "--family", "hamming", "--d", "4", "--k", "9"],
+     "family 'hamming' takes parameters ['d', 'j'], not 'k'"),
+    (["build-set", "--family", "sphere", "--p", "5", "--percent", "50"],
+     "family 'sphere' takes parameters ['k', 'r'], not 'percent'"),
+    (["exponents", "--family", "random"],
+     "family 'random' has no closed-form exponent"),
+    (["transform", "--in", "FN", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
+    (["build-set", "--family", "hamming", "--p", "5", "--timestamp"],
+     "unrecognized arguments: --timestamp"),
+], ids=["family-flag-not-taken", "percent-not-taken", "random-exponents",
+        "transform-seed", "build-set-timestamp"])
+def test_flag_the_command_does_not_read_is_config_error(tmp_path, capsys,
+                                                        argv, message):
+    fn = tmp_path / "f.fn"
+    fn.write_text('{"p":5,"d":1}\nindex,re,im\n0,1,0\n')
+    argv = [str(fn) if tok == "FN" else tok for tok in argv]
+    code, stdout, err = run_cli(argv + ["--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+# every option each subcommand takes: adding one is a deliberate change
+_FAMILY = ["--family", "--d", "--j", "--k", "--m", "--r", "--n", "--percent"]
+_POWER = ["--starts", "--max-iter", "--tol"]
+_CLI_SURFACE = {
+    "build-set": [*_FAMILY, "--p", "--out", "--seed", "--max-points"],
+    "transform": ["--in", "--inverse", "--out", "--max-points"],
+    "salem-profile": [*_FAMILY, "--p", "--p-grid", "--out", "--seed",
+                      "--max-points", "--timestamp"],
+    "salem-fit": [*_FAMILY, "--p-grid", "--field-sizes", "--out", "--seed",
+                  "--max-points", "--timestamp"],
+    "exponents": [*_FAMILY, "--out", "--timestamp"],
+    "ext-norm": [*_FAMILY, "--p", "--q", *_POWER, "--out", "--seed",
+                 "--max-points", "--timestamp"],
+    "sweep": [*_FAMILY, "--q", "--field-sizes", *_POWER, "--out", "--seed",
+              "--max-points", "--timestamp"],
+    "verify": ["--suite"],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [opt for a in sub._actions if a.dest != "help"
+                      for opt in a.option_strings]
+               for name, sub in subs.choices.items()}
+    assert surface == _CLI_SURFACE
+
+
+_F5 = {"p": 5, "d": 1}
+
+
+@pytest.mark.parametrize("header, columns, rows", [
+    (_F5, "index,re,im", ["-1,1,0"]),
+    (_F5, "index,re,im", ["7,1,0"]),
+    ({"p": 2147483647, "d": 3}, "index,re,im", ["0,1,0"]),
+    ({"p": math.inf, "d": 1}, "index,re,im", ["0,1,0"]),
+    ("not json", "index,re,im", ["0,1,0"]),
+    ({"p": 5.9, "d": 1.7}, "index,re,im", ["0,1,0"]),
+    ({"p": 5, "d": True}, "index,re,im", ["0,1,0"]),
+    (_F5, "idx,re,im", ["0,1,0"]),
+    (_F5, "index,re,im", ["0,x,0"]),
+    (_F5, "index,re,im", ["0,1,nan"]),
+    (_F5, "index,re,im", ["1.5,1,0"]),
+    (_F5, "index,re,im", ["4,2,0", "4,1,0"]),
+    # the 0xff byte lies past the reader's first buffer
+    ({"p": 47, "d": 2}, "index,re,im",
+     [f"{i},1,0" for i in range(2000)] + ["2001,\udcff,0"]),
 ], ids=["negative-index", "index-past-end", "header-over-cap",
-        "header-p-infinite"])
-def test_transform_rejects_bad_function_file(tmp_path, capsys, header, rows):
+        "header-p-infinite", "header-not-json", "header-float",
+        "header-bool", "column-header", "value-not-numeric", "value-nan",
+        "index-not-integer", "index-repeated", "row-not-utf8"])
+def test_transform_rejects_bad_function_file(tmp_path, capsys, header,
+                                             columns, rows):
     bad = tmp_path / "bad.fn"
-    bad.write_text(json.dumps(header) + "\nindex,re,im\n"
-                   + "".join(r + "\n" for r in rows))
+    first = header if isinstance(header, str) else json.dumps(header)
+    text = "".join(line + "\n" for line in [first, columns, *rows])
+    bad.write_bytes(text.encode("utf-8", "surrogateescape"))
     tracemalloc.start()
     try:
         code, stdout, err = run_cli(["transform", "--in", str(bad)], capsys)
@@ -323,12 +398,12 @@ def test_p_grid_gives_predictions_exact_exponents(tmp_path, capsys):
         reports.f17(Fraction(1, 3))]
 
 
-def test_exit_code_computation_error(tmp_path, capsys):
-    bad = tmp_path / "bad.fn"
-    bad.write_text("not json\n")
-    code, _, err = run_cli(["transform", "--in", str(bad)], capsys)
+def test_exit_code_computation_error(capsys):
+    code, _, err = run_cli(["salem-fit", "--family", "full-space",
+                            "--d", "1", "--field-sizes", "5,7,11,13"],
+                           capsys)
     assert code == 2
-    assert "computation error" in err
+    assert "computation error" in err and "degenerate input" in err
 
 
 def test_verify_selected_suite(capsys):

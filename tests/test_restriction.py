@@ -413,7 +413,7 @@ def test_growth_sweep_shape_and_order():
     build = families.builder("hamming", {"d": 2})
     sweep = growth_sweep(build, 6.0, [11, 5, 13, 7],
                          PowerIterConfig(random_starts=1, max_iter=200))
-    assert sweep.field_sizes == (5, 7, 11, 13)
+    assert tuple(row.p for row in sweep.rows) == (5, 7, 11, 13)
     assert len(sweep.rows) == 4
     assert all(row.estimate.converged for row in sweep.rows)
     assert math.isfinite(sweep.fitted_growth_exponent)

@@ -308,9 +308,9 @@ def test_measure_normalization_enforced():
 
 def test_point_mass_and_support():
     space = _space(7, 1)
-    mu = FFMeasure.point_mass(space, 3)
+    mu = FFMeasure(space, np.eye(space.size)[3])
     assert list(mu.support_indices()) == [3]
-    assert mu.max_weight() == 1.0
+    assert mu.weights.max() == 1.0
     assert mu.as_grid().values[3] == 1.0
 
 
