@@ -46,7 +46,6 @@ from .salem import (
     hamming_exact_transform,
     hamming_decay_constant,
     check_universal_salem,
-    check_interpolated_salem,
 )
 from .restriction import (
     ThresholdReport,
@@ -77,7 +76,7 @@ __all__ = [
     "embed", "surface_measure", "random_set", "full_space",
     "SpectralProfile", "SalemFit", "profile", "fit_salem_exponent",
     "hamming_exact_transform", "hamming_decay_constant",
-    "check_universal_salem", "check_interpolated_salem",
+    "check_universal_salem",
     "ThresholdReport", "ExtensionNormEstimate", "GrowthSweep",
     "PowerIterConfig", "mocktao_threshold", "main_threshold",
     "salem_threshold", "improvement_condition", "optimize_p",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__, families, reports, verify
-from .field import DEFAULT_POINT_CAP, is_prime
+from .field import DEFAULT_POINT_CAP, is_prime, over_point_cap
 from .rationals import Exact
 from .restriction import (
     PowerIterConfig,
@@ -89,17 +89,17 @@ def _parse_sizes(text: str) -> list[int]:
 
 def _family_params(args: argparse.Namespace, errors: list[str]) -> dict:
     """The family's resolved parameters, from every family flag given, so
-    `resolve_params` rejects a flag the family does not take.  --seed is
-    shared with the power iteration, so it is a family parameter only for
-    a family that takes a seed.  Problems land in `errors` so they can
-    be reported together."""
+    `resolve_params` rejects a flag the family does not take.  ext-norm
+    and sweep read --seed (default 0) for the power iteration too, so
+    there it reaches only a family that takes a seed.  Problems land in
+    `errors` so they can be reported together."""
     try:
         spec = families.get(args.family)
     except ValueError as exc:
         errors.append(str(exc))
         return {}
     given = {key: getattr(args, key) for key, _ in _FAMILY_FLAGS}
-    if "seed" in dict(spec.param_defaults):
+    if not hasattr(args, "starts") or "seed" in dict(spec.param_defaults):
         given["seed"] = getattr(args, "seed", None)
     try:
         return spec.resolve_params(given)
@@ -120,23 +120,23 @@ def _family_setup(args: argparse.Namespace, sizes: Sequence[int],
     """The resolved family parameters and the family's builder.
 
     `errors` holds the command's own problems.  Every problem is reported
-    at once, field sizes first, and a field size over the point cap is
-    rejected before any set is built.
+    at once, field sizes first, and a field size the family's rules
+    exclude or over the point cap is rejected before any set is built.
     """
     errors = [f"field size {p} is not prime"
               for p in sizes if not is_prime(p)] + errors
     params = _family_params(args, errors)
     if errors:
         raise ConfigError(errors)
-    d = families.get(args.family).dimension(params)
+    spec = families.get(args.family)
+    d = spec.dimension(params)
     cap = args.max_points
-    # p^d >= 2^d, so a d past the cap's bit length fails without
-    # taking the power
-    over = [p for p in sizes if d > cap.bit_length() or p ** d > cap]
-    if over:
-        raise ConfigError([
-            f"p^d = {p}^{d} exceeds the point cap {cap}; raise "
-            "--max-points if this size is intended" for p in over])
+    errors = [msg for p in sizes for msg in spec.size_errors(params, p)]
+    errors += [f"p^d = {p}^{d} exceeds the point cap {cap}; raise "
+               "--max-points if this size is intended"
+               for p in sizes if over_point_cap(p, d, cap)]
+    if errors:
+        raise ConfigError(errors)
     return params, families.builder(args.family, params,
                                     max_points=cap)
 
@@ -186,7 +186,8 @@ def cmd_salem_profile(args: argparse.Namespace) -> int:
     prof = profile(build(args.p), grid)
     config = {"command": "salem-profile", "family": args.family,
               "params": params,
-              "p": args.p, "p_grid": args.p_grid, "seed": args.seed}
+              "p": args.p, "p_grid": args.p_grid,
+              "seed": params.get("seed", 0)}
     with _open_out(args.out) as fp:
         reports.write_csv(fp, reports.PROFILE_FIELDS,
                           reports.profile_rows(prof), config,
@@ -213,7 +214,7 @@ def cmd_salem_fit(args: argparse.Namespace) -> int:
     config = {"command": "salem-fit", "family": args.family,
               "params": params,
               "p_grid": args.p_grid, "field_sizes": args.field_sizes,
-              "seed": args.seed}
+              "seed": params.get("seed", 0)}
     with _open_out(args.out) as fp:
         reports.write_csv(fp, reports.FIT_FIELDS, reports.fit_rows(fits),
                           config, _timestamp(args))
@@ -329,10 +330,11 @@ def _add_common_options(sub: argparse.ArgumentParser, *, seed: bool = True,
                         max_points: bool = True,
                         timestamp: bool = True) -> None:
     """--out, and those of --seed, --max-points and --timestamp that the
-    command reads."""
+    command reads.  --seed is None when not given, so the family's own
+    default applies."""
     sub.add_argument("--out", default="-", help="output path, '-' = stdout")
     if seed:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=int)
     if max_points:
         sub.add_argument("--max-points", type=int,
                          default=DEFAULT_POINT_CAP,
@@ -400,7 +402,8 @@ def build_parser() -> _Parser:
     sub.add_argument("--q", type=float, required=True)
     _add_power_options(sub)
     _add_common_options(sub)
-    sub.set_defaults(func=cmd_ext_norm)
+    # the power iteration's random starts are seeded even without --seed
+    sub.set_defaults(func=cmd_ext_norm, seed=0)
 
     sub = subs.add_parser("sweep",
                           help="lower-bound growth sweep across field sizes")
@@ -410,7 +413,7 @@ def build_parser() -> _Parser:
                      default="5,7,11,13,17,19,23")
     _add_power_options(sub)
     _add_common_options(sub)
-    sub.set_defaults(func=cmd_sweep)
+    sub.set_defaults(func=cmd_sweep, seed=0)
 
     sub = subs.add_parser("verify", help="run the invariant suites")
     sub.add_argument("--suite", action="append",

@@ -35,9 +35,6 @@ class SetDescriptor:
         return json.dumps(self.params_dict(), sort_keys=True,
                           separators=(",", ":"))
 
-    def __str__(self) -> str:
-        return f"{self.family}{self.params_json()}"
-
 
 class PointSet(SpaceArray):
     """A subset E of F_p^d held as a dense membership bitmap."""
@@ -59,14 +56,8 @@ class PointSet(SpaceArray):
     def cardinality(self) -> int:
         return self._cardinality
 
-    def __len__(self) -> int:
-        return self._cardinality
-
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self._array)
-
-    def contains(self, index: int) -> bool:
-        return bool(self._array[index])
 
     def alpha(self) -> float:
         """Regularity exponent of the surface measure: log|E| / log p."""

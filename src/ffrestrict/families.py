@@ -52,6 +52,19 @@ class FamilySpec:
     alpha: Callable[[dict], Exact] | None = None
     pieces: Callable[[dict], Pieces | None] | None = None
     failure_q: Callable[[dict], Exact] | None = None
+    odd_p: bool = False  # the construction needs 2 invertible
+    residues: tuple[str, ...] = ()  # parameters read mod p
+
+    def size_errors(self, prm: dict, p: int) -> list[str]:
+        """The rules field size p breaks: p = 2 where p must be odd, and
+        p dividing a nonzero residue parameter, which it would send to 0."""
+        errs = []
+        if self.odd_p and p == 2:
+            errs.append(f"{self.name} needs an odd field size, got p = 2")
+        errs += [f"{self.name} needs p not dividing {key} = {prm[key]}, "
+                 f"got p = {p}" for key in self.residues
+                 if prm[key] and prm[key] % p == 0]
+        return errs
 
     def resolve_params(self, given: Mapping[str, int]) -> dict:
         params = dict(self.param_defaults)
@@ -137,6 +150,7 @@ _register(FamilySpec(
     pieces=lambda prm: _pieces(1, (Fraction(1, prm["d"] - 1), 1),
                                (Fraction(1, 2), 0)),
     failure_q=lambda prm: Fraction(2 * prm["d"], prm["d"] - 1),
+    residues=("j",),
 ))
 
 _register(FamilySpec(
@@ -148,6 +162,8 @@ _register(FamilySpec(
     alpha=lambda prm: Fraction(prm["k"] - 1),
     pieces=_sphere_pieces,
     failure_q=None,
+    odd_p=True,
+    residues=("r",),
 ))
 
 _register(FamilySpec(
@@ -162,6 +178,8 @@ _register(FamilySpec(
     alpha=lambda prm: Fraction(prm["m"] * (prm["k"] - 1)),
     pieces=_sphere_product_pieces,
     failure_q=lambda prm: 2 + Fraction(2, prm["k"] - 1),
+    odd_p=True,
+    residues=("r",),
 ))
 
 _register(FamilySpec(
@@ -175,6 +193,7 @@ _register(FamilySpec(
     pieces=lambda prm: _pieces(1, (Fraction(1, 8), 1),
                                (Fraction(1, 4), Fraction(3, 4))),
     failure_q=lambda prm: Fraction(4),
+    odd_p=True,
 ))
 
 _register(FamilySpec(
@@ -189,6 +208,7 @@ _register(FamilySpec(
     alpha=lambda prm: Fraction(prm["n"] + prm["k"]),
     pieces=_cylinder_pieces,
     failure_q=lambda prm: Fraction(2 * (prm["k"] + 1), prm["k"]),
+    odd_p=True,
 ))
 
 _register(FamilySpec(
@@ -201,6 +221,7 @@ _register(FamilySpec(
     alpha=lambda prm: Fraction(1),
     pieces=lambda prm: _SIDON_PIECES,
     failure_q=lambda prm: Fraction(4),
+    odd_p=True,
 ))
 
 _register(FamilySpec(
@@ -214,6 +235,7 @@ _register(FamilySpec(
     # the ambient dimension outruns the decay: no finite q admits a
     # uniform estimate, certified by indicator-minus-dirac witnesses
     failure_q=lambda prm: math.inf,
+    odd_p=True,
 ))
 
 _register(FamilySpec(
@@ -255,11 +277,15 @@ def get(name: str) -> FamilySpec:
 
 def builder(name: str, params: Mapping[str, int] | None = None,
             max_points: int = DEFAULT_POINT_CAP) -> Callable[[int], PointSet]:
-    """A field-size-to-instance closure for fits and sweeps."""
+    """A field-size-to-instance closure for fits and sweeps; it raises
+    at a field size the family's rules exclude."""
     spec = get(name)
     prm = spec.resolve_params(params or {})
 
     def make(p: int) -> PointSet:
+        errs = spec.size_errors(prm, p)
+        if errs:
+            raise ValueError("; ".join(errs))
         space = VectorSpace(PrimeField(p), spec.dimension(prm),
                             max_points=max_points)
         return spec.construct(prm, space)
@@ -296,17 +322,14 @@ def threshold_report(name: str,
         p_opt, q_opt = optimize_p(pieces, d, alpha)
     except ValueError:
         # no admissible averaging exponent anywhere
-        return ThresholdReport(
-            family=spec.name, params=prm, d=d, alpha=alpha,
-            s_inf=s_infinity, optimal_p=None, s_at_optimal=s_infinity,
-            beta_p=2 * alpha * s_infinity, q_main=None, q_corollary=None,
-            q_mocktao=q_mocktao, improvement=False, lam=None,
-            q_of_lambda=None)
-    s_at = pieces.at(p_opt)
+        p_opt = q_opt = None
+    s_at = s_infinity if p_opt is None else pieces.at(p_opt)
     beta_p = 2 * alpha * s_at
-    q_main = main_threshold(d, alpha, p_opt, beta_p)
-    improvement = improvement_condition(p_opt, s_at, s_infinity)
-    lam = q_of_lambda = None
+    q_main = lam = q_of_lambda = None
+    improvement = False
+    if p_opt is not None:
+        q_main = main_threshold(d, alpha, p_opt, beta_p)
+        improvement = improvement_condition(p_opt, s_at, s_infinity)
     if q_main is not None:
         lam, q_of_lambda, _ = interpolation_params(d, alpha, p_opt, beta_p)
     return ThresholdReport(

@@ -18,6 +18,12 @@ DEFAULT_POINT_CAP = 2 ** 24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def over_point_cap(p: int, d: int, cap: int) -> bool:
+    """True when p^d exceeds cap.  p^d >= 2^d, so a d past the cap's bit
+    length fails without taking the power."""
+    return d > int(cap).bit_length() or p ** d > cap
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the supported p < 2^31."""
     if n < 2:
@@ -100,10 +106,7 @@ class VectorSpace:
                  max_points: int = DEFAULT_POINT_CAP) -> None:
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        # p^d >= 2^d, so a d past the cap's bit length fails without
-        # taking the power
-        if (dimension > int(max_points).bit_length()
-                or fld.modulus ** dimension > max_points):
+        if over_point_cap(fld.modulus, dimension, max_points):
             raise ValueError(
                 f"p^d = {fld.modulus}^{dimension} exceeds the point cap "
                 f"{max_points}; raise max_points explicitly if this size "
@@ -146,10 +149,6 @@ class VectorSpace:
 
     def __repr__(self) -> str:
         return f"VectorSpace(F_{self.p}^{self._dimension})"
-
-    def character(self, t: int) -> complex:
-        """chi(t) = exp(2*pi*i*t/p) for a residue t."""
-        return complex(self._chi_table[t % self.p])
 
     def encode(self, coords: Sequence[int]) -> int:
         if len(coords) != self._dimension:

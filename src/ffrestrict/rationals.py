@@ -22,21 +22,7 @@ def is_inf(x) -> bool:
 
 def exact(x) -> Exact:
     """Fraction for exactly-representable finite inputs, inf passthrough."""
-    if x == math.inf:
-        return math.inf
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(x)
-
-
-def as_float(x) -> float:
-    if x == math.inf:
-        return math.inf
-    return float(x)
+    return math.inf if is_inf(x) else Fraction(x)
 
 
 def fmt(x) -> str:

@@ -293,7 +293,3 @@ def write_json_report(fp: TextIO, payload: Mapping, config: Mapping,
     doc["report"] = dict(payload)
     json.dump(doc, fp, indent=2, sort_keys=True)
     fp.write("\n")
-
-
-def read_json_report(fp: TextIO) -> dict:
-    return json.load(fp)

@@ -209,36 +209,3 @@ def universal_l2_identity(e: PointSet) -> tuple[float, float]:
     lhs = profile(e, [2.0]).norm_at(2.0) ** 2
     rhs = 1.0 / e.cardinality - 1.0 / e.space.size
     return lhs, rhs
-
-
-@dataclass(frozen=True)
-class InterpolatedSalemReport:
-    """Constants C_p in ||mu^||_p <= C |E|^{-(s_inf + (1-2 s_inf)/p)}."""
-
-    s_inf: float
-    rows: tuple[tuple[float, float, float, float], ...]
-    # rows: (p_exp, norm, bound, constant)
-
-
-def check_interpolated_salem(e: PointSet, s_inf: float,
-                             p_grid: Sequence[float] = (2, 4, 8, 16)
-                             ) -> InterpolatedSalemReport:
-    """Interpolation between L^2 and L^inf: an (inf, s_inf)-Salem set is
-    (p, s_inf + (1 - 2 s_inf)/p)-Salem; reports the measured constants."""
-    if not 0 <= s_inf <= 0.5 + 1e-12:
-        raise ValueError(f"s_inf must lie in [0, 1/2], got {s_inf}")
-    grid = [float(pe) for pe in p_grid]
-    for pe in grid:
-        if pe < 2:
-            raise ValueError(f"p_exp must be >= 2, got {pe}")
-    prof = profile(e, grid)
-    rows = []
-    for pe in grid:
-        norm = prof.norm_at(pe)
-        if pe == math.inf:
-            s = s_inf
-        else:
-            s = s_inf + (1.0 - 2.0 * s_inf) / pe
-        bound = float(e.cardinality) ** (-s)
-        rows.append((pe, norm, bound, norm / bound))
-    return InterpolatedSalemReport(float(s_inf), tuple(rows))

@@ -83,13 +83,11 @@ class FFMeasure(SpaceArray):
         return cls._adopt(space, np.full(space.size, 1.0 / space.size))
 
 
-def random_function(space: VectorSpace, seed: int,
-                    real: bool = False) -> GridFunction:
-    """Seeded standard-normal function, complex unless real=True."""
+def random_function(space: VectorSpace, seed: int) -> GridFunction:
+    """Seeded complex standard-normal function."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(space.size)
-    if not real:
-        v = v + 1j * rng.standard_normal(space.size)
+    v = v + 1j * rng.standard_normal(space.size)
     return GridFunction._adopt(space, v)
 
 

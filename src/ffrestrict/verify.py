@@ -31,7 +31,6 @@ from .ensembles import (
     surface_measure,
 )
 from .field import PrimeField, VectorSpace
-from .rationals import as_float
 from .reports import read_csv, read_set, write_csv, write_set
 from .restriction import (
     extension_norm_lower_bound,
@@ -266,7 +265,7 @@ def _suite_restriction() -> list[CheckResult]:
             continue
         lhs = main_threshold(d, alpha, math.inf, beta)
         rhs = mocktao_threshold(d, alpha, beta)
-        worst = max(worst, abs(as_float(lhs) - as_float(rhs)))
+        worst = max(worst, abs(float(lhs) - float(rhs)))
     out.append(CheckResult("restriction", "p=inf reduction (200 tuples)",
                            worst == 0.0, f"max |diff| = {worst}"))
 
@@ -317,7 +316,7 @@ def _suite_restriction() -> list[CheckResult]:
     cfg = PowerIterConfig(random_starts=2, max_iter=200)
     est = extension_norm_lower_bound(mu, 4.0, cfg)
     f = random_function(mu.space, seed=9)
-    ratio = witness_ratio(f, mu, 4.0, 2.0)
+    ratio = witness_ratio(f, mu, 4.0)
     out.append(CheckResult(
         "restriction", "multistart dominates a random witness",
         ratio <= est.lower_bound + 1e-9,

@@ -178,7 +178,7 @@ def test_ext_norm_json(tmp_path, capsys):
                           "--out", str(out)], capsys)
     assert code == 0
     with open(out) as fp:
-        doc = reports.read_json_report(fp)
+        doc = json.load(fp)
     rep = doc["report"]
     assert float(rep["lower_bound"]) > 0
     assert rep["converged"] is True
@@ -256,8 +256,16 @@ def test_exit_code_bad_flag(capsys):
      "unrecognized arguments: --seed 3"),
     (["build-set", "--family", "hamming", "--p", "5", "--timestamp"],
      "unrecognized arguments: --timestamp"),
+    (["build-set", "--family", "hamming", "--p", "5", "--seed", "3"],
+     "family 'hamming' takes parameters ['d', 'j'], not 'seed'"),
+    (["salem-profile", "--family", "hamming", "--p", "5", "--seed", "3"],
+     "family 'hamming' takes parameters ['d', 'j'], not 'seed'"),
+    (["salem-fit", "--family", "hamming", "--field-sizes", "5,7,11,13",
+      "--seed", "3"],
+     "family 'hamming' takes parameters ['d', 'j'], not 'seed'"),
 ], ids=["family-flag-not-taken", "percent-not-taken", "random-exponents",
-        "transform-seed", "build-set-timestamp"])
+        "transform-seed", "build-set-timestamp", "build-set-seed",
+        "salem-profile-seed", "salem-fit-seed"])
 def test_flag_the_command_does_not_read_is_config_error(tmp_path, capsys,
                                                         argv, message):
     fn = tmp_path / "f.fn"
@@ -270,6 +278,55 @@ def test_flag_the_command_does_not_read_is_config_error(tmp_path, capsys,
     assert "invalid config" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-set", "--family", "random", "--p", "5", "--seed", "3"],
+    ["salem-fit", "--family", "random", "--field-sizes", "5,7,11,13",
+     "--seed", "3"],
+], ids=["build-set", "salem-fit"])
+def test_seed_reaches_a_family_that_takes_one(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 0
+    assert '"seed":3' in out.read_text().replace('""', '"')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["salem-fit", "--family", "sphere-product", "--r", "5",
+      "--field-sizes", "5,7,11,13"],
+     "sphere-product needs p not dividing r = 5, got p = 5"),
+    (["salem-fit", "--family", "hamming", "--j", "5",
+      "--field-sizes", "5,7,11,13"],
+     "hamming needs p not dividing j = 5, got p = 5"),
+    (["sweep", "--family", "hamming", "--j", "7", "--q", "4",
+      "--field-sizes", "5,7,11,13"],
+     "hamming needs p not dividing j = 7, got p = 7"),
+    (["salem-fit", "--family", "sphere", "--field-sizes", "2,3,5,7"],
+     "sphere needs an odd field size, got p = 2"),
+    (["build-set", "--family", "sphere", "--r", "7", "--p", "7"],
+     "sphere needs p not dividing r = 7, got p = 7"),
+], ids=["sphere-product-r", "hamming-j-fit", "hamming-j-sweep",
+        "sphere-p2", "sphere-r-build"])
+def test_field_size_a_family_rule_excludes_is_config_error(tmp_path, capsys,
+                                                           argv, message):
+    code, stdout, err = run_cli(argv + ["--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_every_excluded_field_size_is_reported(capsys):
+    code, _, err = run_cli(["salem-fit", "--family", "sphere-product",
+                            "--r", "15", "--field-sizes", "2,3,5,7"], capsys)
+    assert code == 1
+    assert "sphere-product needs an odd field size, got p = 2" in err
+    assert "not dividing r = 15, got p = 3" in err
+    assert "not dividing r = 15, got p = 5" in err
+    assert "got p = 7" not in err
 
 
 # every option each subcommand takes: adding one is a deliberate change

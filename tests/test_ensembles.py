@@ -50,7 +50,7 @@ def test_sphere_brute_force():
         for idx in range(space.size):
             coords = space.decode(idx)
             on = sum(c * c for c in coords) % p == r % p
-            assert e.contains(idx) == on
+            assert e.membership[idx] == on
 
 
 def test_sphere_count_near_main_term():
@@ -119,7 +119,7 @@ def test_hamming_brute_force():
             prod = 1
             for c in coords:
                 prod = (prod * c) % p
-            assert e.contains(idx) == (prod == j)
+            assert e.membership[idx] == (prod == j)
 
 
 def test_hamming_rejects_j_zero():
@@ -141,7 +141,7 @@ def test_sidon_parabola_brute_force():
         e = sidon_parabola(space)
         for idx in range(space.size):
             x, y = space.decode(idx)
-            assert e.contains(idx) == (y == x * x % p)
+            assert e.membership[idx] == (y == x * x % p)
         assert e.cardinality == p
 
 
@@ -179,7 +179,7 @@ def test_cutoff_cylinder_brute_force():
             punctured = any(c != 0 for c in slab[m:])
             on_sphere = sum(c * c for c in cap) % p == 1
             inside = punctured and on_sphere
-            assert e.contains(idx) == inside
+            assert e.membership[idx] == inside
             count += inside
         assert e.cardinality == count
         assert e.cardinality == (p ** n - p ** m) * ball.cardinality
@@ -266,6 +266,22 @@ def test_family_memberships_are_frozen(name):
     assert not e.membership.flags.writeable
     with pytest.raises(ValueError):
         e.membership[0] = True
+
+
+@pytest.mark.parametrize("name, params, p, message", [
+    ("sphere-product", {"r": 5}, 5, "p not dividing r = 5"),
+    ("hamming", {"j": 7}, 7, "p not dividing j = 7"),
+    ("sidon-embedded", {}, 2, "odd field size"),
+])
+def test_builder_rejects_a_field_size_the_family_excludes(name, params, p,
+                                                          message):
+    with pytest.raises(ValueError, match=message):
+        families.builder(name, params)(p)
+
+
+def test_zero_sphere_is_valid_at_every_odd_field_size():
+    for p in (3, 5, 7):
+        assert families.builder("sphere", {"r": 0})(p).cardinality > 0
 
 
 def test_descriptor_json_stable():

@@ -18,7 +18,6 @@ from ffrestrict.ensembles import (
 )
 from ffrestrict.spectral import fourier_forward, lp_average_norm
 from ffrestrict.salem import (
-    check_interpolated_salem,
     check_universal_salem,
     fit_salem_exponent,
     hamming_decay_constant,
@@ -233,13 +232,3 @@ def test_universal_salem_rejects_exponent_below_two():
     e = sphere(_space(5, 2), 1)
     with pytest.raises(ValueError):
         check_universal_salem(e, 1.5)
-
-
-def test_interpolated_salem_on_parabola():
-    from ffrestrict.ensembles import sidon_parabola
-    e = sidon_parabola(_space(11, 2))
-    rep = check_interpolated_salem(e, s_inf=0.0, p_grid=[2, 4, 8])
-    assert len(rep.rows) == 3
-    assert max(constant for *_, constant in rep.rows) < 4.0
-    for p_exp, norm, bound, constant in rep.rows:
-        assert constant == pytest.approx(norm / bound)

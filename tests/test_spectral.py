@@ -53,7 +53,7 @@ def test_dirac_transforms_to_character():
         cx = space.decode(xi)
         ca = space.decode(a)
         t = -sum(x * y for x, y in zip(cx, ca))
-        assert abs(fhat[xi] - space.character(t)) < 1e-12
+        assert abs(fhat[xi] - space.chi_table[t % space.p]) < 1e-12
 
 
 def test_constant_transforms_to_dirac():
