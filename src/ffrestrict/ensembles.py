@@ -37,16 +37,28 @@ class SetDescriptor:
 
 
 class PointSet(SpaceArray):
-    """A subset E of F_p^d held as a dense membership bitmap."""
+    """A subset E of F_p^d held as a dense membership bitmap.
+
+    A set built as a product E_1 x ... x E_k keeps its factors, E_1 on
+    the low-weight coordinates, so that its spectrum can be read from
+    theirs; any other set is its own single factor.
+    """
 
     _dtype = bool
     _noun = "membership flags"
 
     def _own(self, space: VectorSpace, memb: np.ndarray,
-             descriptor: SetDescriptor | None = None) -> None:
+             descriptor: SetDescriptor | None = None,
+             factors: tuple["PointSet", ...] = ()) -> None:
+        if factors and (
+                any(f.space.p != space.p for f in factors)
+                or sum(f.space.dimension for f in factors)
+                != space.dimension):
+            raise ValueError(f"factors do not tile {space}")
         super()._own(space, memb)
         self._cardinality = int(memb.sum())
         self.descriptor = descriptor
+        self._factors = factors
 
     @property
     def membership(self) -> np.ndarray:
@@ -62,6 +74,12 @@ class PointSet(SpaceArray):
     def alpha(self) -> float:
         """Regularity exponent of the surface measure: log|E| / log p."""
         return float(np.log(self._cardinality) / np.log(self._space.p))
+
+    @property
+    def factors(self) -> tuple["PointSet", ...]:
+        """The sets whose product this is, low-weight coordinates first;
+        (self,) for a set with no product structure."""
+        return self._factors or (self,)
 
 
 def full_space(space: VectorSpace) -> PointSet:
@@ -93,6 +111,18 @@ def sphere(space: VectorSpace, r: int) -> PointSet:
                            SetDescriptor.make("sphere", k=space.dimension, r=r))
 
 
+def _product_on(space: VectorSpace, parts: tuple[PointSet, ...],
+                descriptor: SetDescriptor) -> PointSet:
+    """parts[0] x parts[1] x ... on space, parts[0] on the low-weight
+    coordinates; the result keeps the parts' own factors."""
+    # flat index in a x b is ia + p^da * ib
+    memb = parts[0].membership
+    for part in parts[1:]:
+        memb = np.outer(part.membership, memb).reshape(-1)
+    return PointSet._adopt(space, memb, descriptor,
+                           tuple(f for part in parts for f in part.factors))
+
+
 def product(a: PointSet, b: PointSet,
             max_points: int | None = None) -> PointSet:
     """A x B in F_p^{da+db}; A occupies the low-weight coordinates."""
@@ -103,9 +133,7 @@ def product(a: PointSet, b: PointSet,
     if max_points is None:
         max_points = DEFAULT_POINT_CAP
     target = VectorSpace(fld, dim, max_points=max_points)
-    # flat index in the product is ia + p^da * ib
-    memb = np.outer(b.membership, a.membership).reshape(-1)
-    return PointSet._adopt(target, memb, SetDescriptor.make(
+    return _product_on(target, (a, b), SetDescriptor.make(
         "product", da=a.space.dimension, db=b.space.dimension))
 
 
@@ -113,12 +141,8 @@ def sphere_product(space: VectorSpace, k: int, m: int, r: int = 1) -> PointSet:
     """The m-fold product of spheres S_r^{k-1}, inside F_p^{km}."""
     if space.dimension != k * m:
         raise ValueError(f"space dimension must be k*m = {k * m}")
-    factor_space = VectorSpace(space.field, k)
-    factor = sphere(factor_space, r)
-    memb = factor.membership
-    for _ in range(m - 1):
-        memb = np.outer(memb, factor.membership).reshape(-1)
-    return PointSet._adopt(space, memb, SetDescriptor.make(
+    factor = sphere(VectorSpace(space.field, k), r)
+    return _product_on(space, (factor,) * m, SetDescriptor.make(
         "sphere-product", k=k, m=m, r=r % space.p))
 
 
@@ -189,16 +213,15 @@ def cutoff_cylinder(space: VectorSpace, n: int, m: int, k: int) -> PointSet:
         raise ValueError(f"space dimension must be n+k+1 = {n + k + 1}")
     space.field.require_odd("cutoff cylinder")
     p = space.p
-    # C order puts the high-weight coordinates first: the unit sphere on
-    # coordinates n..n+k, the slab on m..n-1 minus its zero point, then
-    # all of F^m on 0..m-1
+    # the slab F^m x (F^{n-m} minus 0) in F^n, coordinates m..n-1 on the
+    # high-weight axis, times the unit sphere on coordinates n..n+k
+    punctured = np.ones(p ** (n - m), dtype=bool)
+    punctured[0] = False
+    slab = PointSet._adopt(VectorSpace(space.field, n, max_points=space.size),
+                           np.repeat(punctured, p ** m))
     cap = sphere(VectorSpace(space.field, k + 1, max_points=space.size), 1)
-    slab = np.ones(p ** (n - m), dtype=bool)
-    slab[0] = False
-    memb = (cap.membership[:, None, None] & slab[:, None]
-            & np.ones(p ** m, dtype=bool))
-    return PointSet._adopt(space, memb.reshape(-1),
-                           SetDescriptor.make("cutoff-cylinder", n=n, m=m, k=k))
+    return _product_on(space, (slab, cap), SetDescriptor.make(
+        "cutoff-cylinder", n=n, m=m, k=k))
 
 
 def embed(e: PointSet, target: VectorSpace) -> PointSet:
@@ -225,19 +248,19 @@ def surface_measure(e: PointSet) -> FFMeasure:
     return FFMeasure._adopt(e.space, e.membership / e.cardinality)
 
 
-def random_set(space: VectorSpace, density: float, seed: int) -> PointSet:
-    """Bernoulli(density) membership per point, seeded; retried if empty.
-
-    The descriptor records the density as the `random` family's `percent`
-    parameter, rounded to a whole percent.
-    """
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+def random_set(space: VectorSpace, percent: int, seed: int) -> PointSet:
+    """Bernoulli(percent / 100) membership per point, seeded; retried if
+    empty.  percent is a whole number in (0, 100], recorded exactly as
+    the `random` family's parameter of that name."""
+    if (isinstance(percent, bool) or not isinstance(percent, int)
+            or not 0 < percent <= 100):
+        raise ValueError(f"percent must be an integer in (0, 100], "
+                         f"got {percent!r}")
+    density = percent / 100.0
     for attempt in range(1000):
         rng = np.random.default_rng((seed, attempt))
         memb = rng.random(space.size) < density
         if memb.any():
             return PointSet._adopt(space, memb, SetDescriptor.make(
-                "random", d=space.dimension, seed=seed,
-                percent=round(100 * density)))
+                "random", d=space.dimension, seed=seed, percent=percent))
     raise RuntimeError("random_set failed to produce a nonempty set")

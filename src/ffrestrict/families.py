@@ -123,7 +123,8 @@ def _build_zero_sphere_product(params: dict, space: VectorSpace) -> PointSet:
     half = VectorSpace(space.field, 3)
     e = product(sphere(half, 0), sphere(half, 1), max_points=space.size)
     return PointSet._adopt(space, e.membership,
-                           SetDescriptor.make("zero-sphere-product"))
+                           SetDescriptor.make("zero-sphere-product"),
+                           e.factors)
 
 
 def _build_sidon_embedded(params: dict, space: VectorSpace) -> PointSet:
@@ -254,7 +255,7 @@ _register(FamilySpec(
                           _check(0 < prm["percent"] <= 100,
                                  "percent must lie in (0, 100]"))[0],
     construct=lambda prm, space: random_set(
-        space, prm["percent"] / 100.0, prm["seed"]),
+        space, prm["percent"], prm["seed"]),
 ))
 
 

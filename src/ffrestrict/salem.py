@@ -56,17 +56,23 @@ class SalemFit:
 
 
 def profile(e: PointSet, p_grid: Sequence[float]) -> SpectralProfile:
-    """||mu^||_p of e's surface measure over p_grid, from one transform.
+    """||mu^||_p of e's surface measure over p_grid, from one transform
+    per factor of e.
 
     The only place in this module that transforms: every other Salem
-    quantity reads its norms from here.  The measure is a temporary, so
-    it is freed before the transform allocates its output.
+    quantity reads its norms from here.  The surface measure of a
+    product is the product of its factors' surface measures, so a
+    product set is transformed factor by factor and never as its dense
+    p^d grid; a set with no product structure is its own single factor.
+    Each measure is a temporary, freed before its transform allocates
+    the output.
     """
     grid = sorted(set(float(pe) for pe in p_grid))
     if not grid:
         raise ValueError("empty p_grid")
-    mhat = fourier_forward(surface_measure(e).as_grid())
-    entries = tuple((pe, lp_average_norm(mhat, pe)) for pe in grid)
+    mhats = tuple(fourier_forward(surface_measure(f).as_grid())
+                  for f in e.factors)
+    entries = tuple((pe, lp_average_norm(mhats, pe)) for pe in grid)
     return SpectralProfile(e.descriptor, e.space.p, e.space.dimension,
                            e.cardinality, entries)
 

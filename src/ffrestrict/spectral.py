@@ -180,8 +180,26 @@ def parseval(f: GridFunction, g: GridFunction) -> tuple[complex, complex]:
     return lhs, rhs
 
 
-def lp_average_norm(mhat: GridFunction, p_exp: float) -> float:
+def _fold(total: float, a: float, top_r: float) -> float:
+    """Fold one more factor into a product's power sum off zero.
+
+    total and a are sum_{xi != 0} (|mu^|/M)^r for the product so far and
+    for the new factor, and top_r = M^r.  Their unscaled sums S = M^r
+    total and T = M^r a combine as (1 + S)(1 + T) - 1 = S + T + S T,
+    because each factor's transform is 1 at zero; dividing by M^r leaves
+    no power of M that could overflow and no difference that could
+    cancel."""
+    return total + a + top_r * total * a
+
+
+def lp_average_norm(mhat: GridFunction | tuple[GridFunction, ...],
+                    p_exp: float) -> float:
     """||mu^||_p over nonzero frequencies, normalized by p^-d.
+
+    mhat is the transform of mu, or the transforms of its factors when
+    mu = mu_1 x ... x mu_k, each with mu_i^(0) = 1.  Then
+    mu^(xi) = prod_i mu_i^(xi_i), so the sup over xi != 0 is the largest
+    factor sup M, and the power sums fold factor by factor (`_fold`).
 
     The xi = 0 term is excluded by masking the zero index, never by
     subtracting from a power sum.  The sup M is factored out before
@@ -190,14 +208,25 @@ def lp_average_norm(mhat: GridFunction, p_exp: float) -> float:
     """
     if p_exp != math.inf and p_exp < 1:
         raise ValueError(f"p_exp must be >= 1 or inf, got {p_exp}")
-    mags = np.abs(mhat.values)
-    mags[0] = 0.0
-    top = float(mags.max())
+    parts = (mhat,) if isinstance(mhat, GridFunction) else tuple(mhat)
+    if not parts:
+        raise ValueError("lp_average_norm needs at least one transform")
+    mags = [np.abs(part.values) for part in parts]
+    for m in mags:
+        m[0] = 0.0
+    top = max(float(m.max()) for m in mags)
     if p_exp == math.inf or top == 0.0:
         return top
-    mags /= top
-    np.power(mags, p_exp, out=mags)
-    return top * float(np.sum(mags) / mhat.space.size) ** (1.0 / p_exp)
+    top_r = top ** p_exp
+    total = None
+    size = 1
+    for m, part in zip(mags, parts):
+        m /= top
+        np.power(m, p_exp, out=m)
+        a = np.sum(m)
+        total = a if total is None else _fold(total, a, top_r)
+        size *= part.space.size
+    return top * float(total / size) ** (1.0 / p_exp)
 
 
 def multiply_density(f: GridFunction, mu: FFMeasure) -> GridFunction:

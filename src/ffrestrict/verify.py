@@ -23,6 +23,7 @@ import numpy as np
 
 from . import families, spectral
 from .ensembles import (
+    PointSet,
     hamming_variety,
     is_sidon,
     random_set,
@@ -46,6 +47,7 @@ from .salem import (
     check_universal_salem,
     hamming_decay_constant,
     hamming_exact_transform,
+    profile,
     universal_l2_identity,
 )
 from .spectral import (
@@ -188,7 +190,7 @@ def _suite_ensembles() -> list[CheckResult]:
         out.append(CheckResult("ensembles", f"parabola sidon p={p}",
                                e.cardinality == p and is_sidon(e)))
     for p, d in ((5, 2), (7, 2)):
-        e = random_set(_space(p, d), 0.4, seed=p)
+        e = random_set(_space(p, d), 40, seed=p)
         mu = surface_measure(e)
         ok = abs(float(mu.weights.sum()) - 1.0) <= 1e-12
         ok = ok and np.array_equal(mu.support_indices(), e.indices())
@@ -227,7 +229,7 @@ def _suite_salem() -> list[CheckResult]:
     for trial in range(6):
         p = int(rng.choice((5, 7, 11)))
         d = int(rng.choice((1, 2)))
-        e = random_set(_space(p, d), float(rng.uniform(0.1, 0.9)),
+        e = random_set(_space(p, d), int(rng.integers(10, 91)),
                        seed=300 + trial)
         for p_exp in (2.0, 4.0, math.inf):
             rep = check_universal_salem(e, p_exp)
@@ -248,6 +250,36 @@ def _suite_salem() -> list[CheckResult]:
         out.append(CheckResult("salem", f"norm monotonicity p={p}", mono))
         out.append(CheckResult("salem", f"trivial bound p={p}",
                                norms[-1] <= 1.0 + 1e-12))
+    return out
+
+
+# (family, params, field sizes) for the product-route oracle
+PRODUCT_CASES = (
+    ("cutoff-cylinder", {"n": 2, "m": 1, "k": 3}, (3, 5, 7)),
+    ("sphere-product", {"k": 2, "m": 2}, (3, 5, 7)),
+    ("sphere-product", {"k": 3, "m": 2}, (3, 5, 7)),
+    ("zero-sphere-product", {}, (3, 5)),
+)
+PRODUCT_GRID = (1.0, 2.0, 4.0, 6.0, 8.0, 64.0, math.inf)
+
+
+def _suite_products() -> list[CheckResult]:
+    """The factor route of `profile` against the dense transform of the
+    same membership with its factors forgotten."""
+    out = []
+    for name, params, sizes in PRODUCT_CASES:
+        build = families.builder(name, params)
+        for p in sizes:
+            e = build(p)
+            got = profile(e, PRODUCT_GRID).entries
+            want = profile(PointSet(e.space, e.membership),
+                           PRODUCT_GRID).entries
+            errs = [abs(g - w) / w for (_, g), (_, w) in zip(got, want)]
+            label = "".join(f" {k}={v}" for k, v in params.items())
+            out.append(CheckResult(
+                "products", f"{name}{label} p={p} vs dense",
+                len(e.factors) > 1 and all(err <= 1e-12 for err in errs),
+                f"{len(e.factors)} factors, rel err = {max(errs):.2e}"))
     return out
 
 
@@ -356,6 +388,7 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "ensembles": _suite_ensembles,
     "hamming": _suite_hamming,
     "salem": _suite_salem,
+    "products": _suite_products,
     "restriction": _suite_restriction,
     "reports": _suite_reports,
 }

@@ -243,12 +243,12 @@ def test_criterion_6_universal_salem():
     L2 identity holds to 1e-12."""
     t0 = time.monotonic()
     combos = [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (11, 2)]
-    densities = [0.15, 0.3, 0.5, 0.8]
+    percents = [15, 30, 50, 80]
     worst_ratio = 0.0
     worst_identity = 0.0
     for seed in range(50):
         p, d = combos[seed % len(combos)]
-        e = random_set(_space(p, d), densities[seed % len(densities)],
+        e = random_set(_space(p, d), percents[seed % len(percents)],
                        seed=seed)
         for p_exp in [2.0, 4.0, math.inf]:
             rep = check_universal_salem(e, p_exp)

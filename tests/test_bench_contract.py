@@ -53,16 +53,20 @@ def test_traced_fit_and_sweep_report_every_metric(layers, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("family, grid, sizes", [
-    (["sphere-product", "--k", "2", "--m", "2"], "2,4,inf", "5,7,11,13"),
+@pytest.mark.parametrize("family, grid, sizes, factor_dims", [
+    (["sphere-product", "--k", "2", "--m", "2"], "2,4,inf", "5,7,11,13",
+     (2, 2)),
     (["cutoff-cylinder", "--n", "2", "--m", "1", "--k", "3"], "2,inf",
-     "3,5,7,11"),
-], ids=["sphere-product", "cutoff-cylinder"])
+     "3,5,7,11", (2, 4)),
+    (["hamming", "--d", "3"], "2,4,inf", "5,7,11,13", (3,)),
+], ids=["sphere-product", "cutoff-cylinder", "hamming"])
 def test_traced_fit_builds_and_transforms_once_per_cell(layers, tmp_path,
                                                         capsys, family, grid,
-                                                        sizes):
-    # the benchmark's per-layer counts assume one build, one transform
-    # and one norm per (exponent, field size)
+                                                        sizes, factor_dims):
+    # one build and one norm per (exponent, field size), and one forward
+    # transform per factor of the set: a product set is transformed
+    # factor by factor (the cylinder is the slab in F^2 times the sphere
+    # in F^4), any other set once as a whole
     tracer = layers.Tracer()
     tracer.install()
     try:
@@ -74,8 +78,12 @@ def test_traced_fit_builds_and_transforms_once_per_cell(layers, tmp_path,
     assert code == 0
     assert tracer.missing == set()
     metrics = tracer.metrics()
-    cells = len(grid.split(",")) * len(sizes.split(","))
+    exponents = len(grid.split(","))
+    field_sizes = [int(p) for p in sizes.split(",")]
+    cells = exponents * len(field_sizes)
     assert metrics["ensembles.build_calls"][0] == cells
-    assert metrics["spectral.forward_calls"][0] == cells
     assert metrics["spectral.norm_calls"][0] == cells
+    assert metrics["spectral.forward_calls"][0] == cells * len(factor_dims)
+    assert metrics["spectral.points"][0] == exponents * sum(
+        p ** dim for p in field_sizes for dim in factor_dims)
     assert capsys.readouterr().out == ""

@@ -82,6 +82,52 @@ def test_sphere_product_is_cartesian_power():
     assert e.cardinality == 16
 
 
+def test_products_keep_their_factors():
+    pa = sphere(_space(5, 2), 1)
+    pb = sphere(_space(5, 3), 2)
+    e = product(pa, pb, max_points=5 ** 5)
+    assert e.factors == (pa, pb)
+    # a product of products keeps the flat list of its factors
+    ee = product(e, pa, max_points=5 ** 7)
+    assert ee.factors == (pa, pb, pa)
+    assert sphere_product(_space(5, 6), 3, 2).factors[0].descriptor \
+        == SetDescriptor.make("sphere", k=3, r=1)
+    zsp = families.builder("zero-sphere-product")(5)
+    assert [f.descriptor.params_dict()["r"] for f in zsp.factors] == [0, 1]
+    # a set with no product structure is its own single factor, and so
+    # is a copy of a product's membership
+    h = hamming_variety(_space(5, 2), 1)
+    assert h.factors == (h,)
+    flat = PointSet(e.space, e.membership)
+    assert flat.factors == (flat,)
+
+
+def test_cylinder_factors_are_slab_and_sphere():
+    p, n, m, k = 5, 2, 1, 3
+    e = cutoff_cylinder(_space(p, n + k + 1), n, m, k)
+    slab, cap = e.factors
+    assert slab.space.dimension == n and cap.space.dimension == k + 1
+    # the slab is F^m x (F^{n-m} minus 0)
+    assert _points(slab) == {x for x in np.ndindex(*(p,) * n)
+                             if any(x[m:])}
+    assert np.array_equal(cap.membership,
+                          sphere(_space(p, k + 1), 1).membership)
+    assert e.cardinality == slab.cardinality * cap.cardinality
+
+
+def test_factors_must_tile_the_space():
+    a = sphere(_space(5, 2), 1)
+    memb = np.outer(a.membership, a.membership).reshape(-1)
+    with pytest.raises(ValueError, match="tile"):
+        PointSet._adopt(_space(5, 5), np.zeros(5 ** 5, dtype=bool), None,
+                        (a, a))
+    with pytest.raises(ValueError, match="tile"):
+        PointSet._adopt(_space(7, 4), np.zeros(7 ** 4, dtype=bool), None,
+                        (a, a))
+    assert PointSet._adopt(_space(5, 4), memb, None, (a, a)).factors \
+        == (a, a)
+
+
 def test_product_flat_index_order():
     # product(a, b) lives on the concatenated space with a's coordinates
     # in the low positions
@@ -240,9 +286,9 @@ def test_surface_measure_empty_set_rejected():
 
 def test_random_set_determinism_and_density():
     space = _space(11, 2)
-    a = random_set(space, 0.25, seed=3)
-    b = random_set(space, 0.25, seed=3)
-    c = random_set(space, 0.25, seed=4)
+    a = random_set(space, 25, seed=3)
+    b = random_set(space, 25, seed=3)
+    c = random_set(space, 25, seed=4)
     assert np.array_equal(a.membership, b.membership)
     assert not np.array_equal(a.membership, c.membership)
     assert 0 < a.cardinality < space.size
@@ -256,8 +302,23 @@ def test_random_descriptor_carries_density():
     assert low.descriptor != high.descriptor
     assert high.descriptor.params_dict() == {"d": 2, "percent": 60,
                                              "seed": 0}
-    assert random_set(_space(5, 1), 0.3, seed=1).descriptor.params_dict() \
+    assert random_set(_space(5, 1), 30, seed=1).descriptor.params_dict() \
         == {"d": 1, "percent": 30, "seed": 1}
+
+
+def test_random_set_descriptor_is_exact_and_percent_whole():
+    space = _space(5, 2)
+    seen = {random_set(space, percent, seed=1).descriptor
+            for percent in (12, 13, 99, 100)}
+    assert len(seen) == 4
+    # the family path builds the same set under the same descriptor
+    direct = random_set(space, 13, seed=1)
+    built = families.builder("random", {"percent": 13, "seed": 1})(5)
+    assert built.descriptor == direct.descriptor
+    assert np.array_equal(built.membership, direct.membership)
+    for bad in (0, 101, 12.5, 0.25, True):
+        with pytest.raises(ValueError, match="percent"):
+            random_set(space, bad, seed=1)
 
 
 @pytest.mark.parametrize("name", families.names())

@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ffrestrict import spectral, verify
 from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.ensembles import (
+    PointSet,
     full_space,
     hamming_variety,
     random_set,
@@ -93,6 +95,55 @@ def test_fit_frees_the_measure_before_transforming():
     finally:
         tracemalloc.stop()
     assert peak <= 2.4 * 16 * 31 ** 4
+
+
+@pytest.mark.parametrize(
+    "name, params, sizes", verify.PRODUCT_CASES,
+    ids=[name + "".join(f"-{k}{v}" for k, v in prm.items())
+         for name, prm, _ in verify.PRODUCT_CASES])
+def test_product_profile_matches_the_dense_route(name, params, sizes):
+    # the oracle: the same membership with its factors forgotten is
+    # transformed densely
+    build = families.builder(name, params)
+    for p in sizes:
+        e = build(p)
+        assert len(e.factors) == 2
+        got = profile(e, verify.PRODUCT_GRID)
+        want = profile(PointSet(e.space, e.membership), verify.PRODUCT_GRID)
+        assert got.set_size == want.set_size
+        for (pe, g), (_, w) in zip(got.entries, want.entries):
+            assert abs(g - w) <= 1e-12 * w, (name, p, pe)
+
+
+def test_one_factor_norm_is_the_dense_norm_bit_for_bit():
+    e = hamming_variety(_space(7, 3), 1)
+    mhat = fourier_forward(surface_measure(e).as_grid())
+    for pe in (1.0, 2.0, 6.0, 64.0, math.inf):
+        assert lp_average_norm((mhat,), pe) == lp_average_norm(mhat, pe)
+    with pytest.raises(ValueError):
+        lp_average_norm((), 2.0)
+
+
+def test_product_oracle_catches_a_faulty_factor_fold(monkeypatch):
+    # drop the cross term of the fold: the product's power sum then
+    # misses every frequency that is nonzero in two factors at once
+    monkeypatch.setattr(spectral, "_fold",
+                        lambda total, a, top_r: total + a)
+    faulted = [r for r in verify.run_suites(["products"]) if not r.passed]
+    assert len(faulted) == sum(len(sizes)
+                               for _, _, sizes in verify.PRODUCT_CASES)
+    # the character-sign mutation line does not move
+    assert verify.mutation_check().detail == "14 checks failed under fault"
+
+
+def test_product_oracle_catches_the_zero_frequency_summed(monkeypatch):
+    # sum over xi = 0 as well: in units of M^r that adds M^-r to the
+    # product's power sum
+    original = spectral._fold
+    monkeypatch.setattr(spectral, "_fold",
+                        lambda total, a, top_r: original(total, a, top_r)
+                        + 1.0 / top_r)
+    assert not any(r.passed for r in verify.run_suites(["products"]))
 
 
 def test_fit_requires_four_sizes():
@@ -213,7 +264,7 @@ def test_predict_sidon_values():
 
 def test_universal_salem_random_sets():
     for t, (p, d) in enumerate([(5, 1), (7, 1), (5, 2), (7, 2), (11, 1)]):
-        e = random_set(_space(p, d), 0.3, seed=t)
+        e = random_set(_space(p, d), 30, seed=t)
         for p_exp in [2.0, 4.0, math.inf]:
             rep = check_universal_salem(e, p_exp)
             assert rep.passed, (p, d, p_exp, rep.ratio)
@@ -222,7 +273,7 @@ def test_universal_salem_random_sets():
 
 def test_universal_l2_identity_exact():
     for p, d in [(5, 1), (7, 2), (11, 1)]:
-        e = random_set(_space(p, d), 0.4, seed=p + d)
+        e = random_set(_space(p, d), 40, seed=p + d)
         lhs, rhs = universal_l2_identity(e)
         assert abs(lhs - rhs) < 1e-12
         assert rhs == pytest.approx(1 / e.cardinality - p ** (-d))
