@@ -294,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError([str(exc)])
     if suites is None:
-        results.append(verify.mutation_check())
+        results.append(verify.mutation_check(results))
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

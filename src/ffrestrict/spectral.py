@@ -95,21 +95,24 @@ def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
     """sum_x f(x) chi(sign * xi.x): a numpy FFT along each axis of the
     (p,)*d cube.
 
-    The C-order reshape reverses the coordinate axes; every axis gets the
-    same transform, so the flat order is unchanged.  The values are those
-    of np.fft.fftn (sign -1) or np.fft.ifftn(norm="forward") (sign +1),
-    bit for bit, but every axis after the first is transformed in place
-    instead of into a fresh p^d array.
+    values holds one function in its last axis; any leading axes index a
+    batch of functions, each transformed on its own.  The C-order reshape
+    reverses the coordinate axes; every axis gets the same transform, so
+    the flat order is unchanged.  The values are those of np.fft.fftn
+    (sign -1) or np.fft.ifftn(norm="forward") (sign +1) over the trailing
+    d axes, bit for bit, but every axis after the first one transformed
+    is transformed in place instead of into a fresh array.
     """
     if sign < 0:
         fft, norm = np.fft.fft, "backward"
     else:
         fft, norm = np.fft.ifft, "forward"
-    cube = values.reshape((space.p,) * space.dimension)
+    d = space.dimension
+    cube = values.reshape(values.shape[:-1] + (space.p,) * d)
     out = fft(cube, axis=-1, norm=norm)
-    for ax in reversed(range(space.dimension - 1)):
-        fft(out, axis=ax, norm=norm, out=out)
-    return out.reshape(-1)
+    for ax in range(2, d + 1):
+        fft(out, axis=-ax, norm=norm, out=out)
+    return out.reshape(values.shape)
 
 
 def fourier_forward(f: GridFunction) -> GridFunction:

@@ -412,13 +412,18 @@ def run_suites(names: list[str] | None = None) -> list[CheckResult]:
     return results
 
 
-def mutation_check() -> CheckResult:
+def mutation_check(results: list[CheckResult] | None = None) -> CheckResult:
     """The transform-identity suite must fail under a flipped forward
-    character sign and pass without it."""
-    clean = all(r.passed for r in _suite_parseval())
+    character sign and pass without it.
+
+    The clean pass is read from the parseval checks in `results` when a
+    caller has already run that suite; otherwise it is run here.
+    """
+    clean = [r for r in results or () if r.suite == "parseval"] \
+        or _suite_parseval()
     with character_sign_fault():
         faulted = [r for r in _suite_parseval() if not r.passed]
-    ok = clean and len(faulted) > 0
+    ok = all(r.passed for r in clean) and len(faulted) > 0
     detail = (f"{len(faulted)} checks failed under fault" if faulted
               else "fault went unnoticed")
     return CheckResult("mutation", "character sign fault detected", ok, detail)

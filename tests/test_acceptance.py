@@ -302,7 +302,7 @@ def test_criterion_8_invariant_suites_and_mutation_check():
     results = verify.run_suites(None)
     bad = [r for r in results if not r.passed]
     assert not bad, bad
-    mut = verify.mutation_check()
+    mut = verify.mutation_check(results)
     assert mut.passed, mut.detail
     # the CLI front end reports the same state with exit code 0
     assert cli.main(["verify", "--suite", "parseval"]) == 0

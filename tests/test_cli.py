@@ -501,6 +501,24 @@ def test_verify_records_a_raising_suite_and_runs_the_rest(capsys,
     assert "Traceback" not in err
 
 
+def test_mutation_check_reads_the_callers_clean_pass(monkeypatch):
+    # a clean parseval pass already run is not run again; only the
+    # faulted pass calls the suite
+    calls = []
+    suite = verify._suite_parseval
+    monkeypatch.setattr(verify, "_suite_parseval",
+                        lambda: calls.append(1) or suite())
+    clean = verify.run_suites(["hamming"]) + [
+        verify.CheckResult("parseval", "earlier pass", True)]
+    assert verify.mutation_check(clean).passed
+    assert len(calls) == 1
+    failed = [verify.CheckResult("parseval", "earlier pass", False)]
+    assert not verify.mutation_check(failed).passed
+    # without parseval results the clean pass runs here
+    assert verify.mutation_check(verify.run_suites(["hamming"])).passed
+    assert len(calls) == 4
+
+
 # ----------------------------------------------------------- config file
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -29,7 +29,7 @@ from ffrestrict.restriction import (
     salem_threshold,
     witness_ratio,
 )
-from ffrestrict import families
+from ffrestrict import families, restriction, verify
 from ffrestrict.rationals import Pieces
 
 
@@ -399,6 +399,50 @@ def test_lower_bound_rejects_bad_q():
         extension_norm_lower_bound(mu, 1.5)
     with pytest.raises(ValueError):
         extension_norm_lower_bound(mu, math.inf)
+
+
+# ------------------------------------------------------ batched ascent
+
+@pytest.mark.parametrize("family, params, p, q", [
+    ("hamming", {"d": 2}, 11, 3.0),
+    ("hamming", {"d": 2}, 11, 6.0),
+    ("sphere", {"k": 2}, 7, 4.0),
+], ids=["hamming-q3", "hamming-q6", "sphere-q4"])
+def test_ascent_rows_match_each_start_ascended_alone(family, params, p, q):
+    # rows freeze at different steps, and no row's arithmetic may depend
+    # on which other rows share its block
+    mu = surface_measure(families.builder(family, params)(p))
+    cfg = PowerIterConfig()
+    _, starts = restriction._starts(mu, cfg)
+    batch = restriction._ascend(mu, starts, q, cfg)
+    assert len(set(batch[2].tolist())) > 1
+    for i in range(len(starts)):
+        alone = restriction._ascend(mu, starts[i:i + 1], q, cfg)
+        for got, want in zip(batch, alone):
+            assert got[i:i + 1].tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("family", ["sidon-parabola", "sidon-embedded"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_q4_ascent_attains_the_sidon_norm(family, p):
+    # for a Sidon set E in a space of N points every sum x + y with
+    # x, y in E has at most two representations, which makes
+    # ||A||^4 = N (2/|E|^2 - 1/|E|^3) exactly
+    e = families.builder(family)(p)
+    n, size = e.space.size, e.cardinality
+    exact = float(Fraction(n * (2 * size - 1), size ** 3)) ** 0.25
+    est = extension_norm_lower_bound(surface_measure(e), 4.0)
+    assert est.lower_bound == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("q", [3.0, 4.0, 6.0])
+def test_sign_fault_breaks_the_ascent_monotonicity(q):
+    # the ascent transforms through spectral._transform, so the fault
+    # reaches it, and the per-row monotonicity check catches it
+    mu = surface_measure(families.builder("sidon-parabola")(7))
+    with verify.character_sign_fault():
+        with pytest.raises(RuntimeError, match="lost monotonicity"):
+            extension_norm_lower_bound(mu, q)
 
 
 # --------------------------------------------------------------- sweeps
