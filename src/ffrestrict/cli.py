@@ -141,13 +141,20 @@ def _family_setup(args: argparse.Namespace, sizes: Sequence[int],
                                     max_points=cap)
 
 
-def _power_config(args: argparse.Namespace) -> PowerIterConfig:
-    return PowerIterConfig(
-        random_starts=args.starts,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-    )
+def _power_config(args: argparse.Namespace,
+                  errors: list[str]) -> PowerIterConfig | None:
+    """The power-iteration settings; a rule they break lands in
+    `errors`."""
+    try:
+        return PowerIterConfig(
+            random_starts=args.starts,
+            max_iter=args.max_iter,
+            tol=args.tol,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        errors.append(str(exc))
+        return None
 
 
 # ------------------------------------------------------------- subcommands
@@ -242,9 +249,10 @@ def cmd_ext_norm(args: argparse.Namespace) -> int:
     errors: list[str] = []
     if not 2 <= args.q < math.inf:
         errors.append(f"q must lie in [2, inf), got {args.q}")
+    cfg = _power_config(args, errors)
     params, build = _family_setup(args, [args.p], errors)
     est = extension_norm_lower_bound(surface_measure(build(args.p)), args.q,
-                                     _power_config(args))
+                                     cfg)
     config = {"command": "ext-norm", "family": args.family,
               "params": params,
               "p": args.p, "q": args.q, "seed": args.seed,
@@ -269,8 +277,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         errors.append(f">= 4 field sizes required, got {sorted(set(sizes))}")
     if not 2 <= args.q < math.inf:
         errors.append(f"q must lie in [2, inf), got {args.q}")
+    cfg = _power_config(args, errors)
     params, build = _family_setup(args, sizes, errors)
-    sweep = growth_sweep(build, args.q, sizes, _power_config(args))
+    sweep = growth_sweep(build, args.q, sizes, cfg)
     regime = families.regime_label(args.family, params, args.q)
     config = {"command": "sweep", "family": args.family,
               "params": params,

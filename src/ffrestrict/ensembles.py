@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .field import DEFAULT_POINT_CAP, PrimeField, SpaceArray, VectorSpace
+from .field import SpaceArray, VectorSpace
 from .spectral import FFMeasure
 
 # is_sidon enumerates all unordered pairs; O(|E|^2) sums.
@@ -123,16 +122,11 @@ def _product_on(space: VectorSpace, parts: tuple[PointSet, ...],
                            tuple(f for part in parts for f in part.factors))
 
 
-def product(a: PointSet, b: PointSet,
-            max_points: int | None = None) -> PointSet:
+def product(a: PointSet, b: PointSet) -> PointSet:
     """A x B in F_p^{da+db}; A occupies the low-weight coordinates."""
     if a.space.p != b.space.p:
         raise ValueError("product requires a common base field")
-    fld = a.space.field
-    dim = a.space.dimension + b.space.dimension
-    if max_points is None:
-        max_points = DEFAULT_POINT_CAP
-    target = VectorSpace(fld, dim, max_points=max_points)
+    target = VectorSpace(a.space.field, a.space.dimension + b.space.dimension)
     return _product_on(target, (a, b), SetDescriptor.make(
         "product", da=a.space.dimension, db=b.space.dimension))
 
@@ -222,23 +216,6 @@ def cutoff_cylinder(space: VectorSpace, n: int, m: int, k: int) -> PointSet:
     cap = sphere(VectorSpace(space.field, k + 1, max_points=space.size), 1)
     return _product_on(space, (slab, cap), SetDescriptor.make(
         "cutoff-cylinder", n=n, m=m, k=k))
-
-
-def embed(e: PointSet, target: VectorSpace) -> PointSet:
-    """Copy of E in one dimension higher, appending a zero coordinate."""
-    src = e.space
-    if target.p != src.p:
-        raise ValueError("embed requires a common base field")
-    if target.dimension != src.dimension + 1:
-        raise ValueError("embed target must have dimension d+1")
-    memb = np.zeros(target.size, dtype=bool)
-    # points with last coordinate zero occupy the first p^(d-1) indices
-    memb[:src.size] = e.membership
-    desc = e.descriptor
-    name = f"{desc.family}-embedded" if desc is not None else "embedded"
-    params = dict(desc.params) if desc is not None else {}
-    params["ambient_d"] = target.dimension
-    return PointSet._adopt(target, memb, SetDescriptor.make(name, **params))
 
 
 def surface_measure(e: PointSet) -> FFMeasure:

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .ensembles import (
     PointSet,
     SetDescriptor,
     cutoff_cylinder,
-    embed,
     full_space,
     hamming_variety,
-    product,
+    _product_on,
     random_set,
     sidon_parabola,
     sphere,
@@ -36,7 +37,6 @@ from .restriction import (
     main_threshold,
     mocktao_threshold,
     optimize_p,
-    salem_threshold,
 )
 
 
@@ -47,11 +47,12 @@ class FamilySpec:
     name: str
     param_defaults: tuple[tuple[str, int], ...]
     dimension: Callable[[dict], int]
-    validate: Callable[[dict], None]
     construct: Callable[[dict, VectorSpace], PointSet]
     alpha: Callable[[dict], Exact] | None = None
     pieces: Callable[[dict], Pieces | None] | None = None
     failure_q: Callable[[dict], Exact] | None = None
+    # (predicate, message) pairs on the parameters, checked in order
+    rules: tuple[tuple[Callable[[dict], bool], str], ...] = ()
     odd_p: bool = False  # the construction needs 2 invertible
     residues: tuple[str, ...] = ()  # parameters read mod p
 
@@ -77,13 +78,10 @@ class FamilySpec:
                     f"family {self.name!r} takes parameters "
                     f"{sorted(allowed)}, not {key!r}")
             params[key] = int(value)
-        self.validate(params)
+        for holds, msg in self.rules:
+            if not holds(params):
+                raise ValueError(msg)
         return params
-
-
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 def _pieces(lo, *lines) -> Pieces:
@@ -121,15 +119,18 @@ _SIDON_PIECES = Pieces(((1, ((0, 1),)), (4, ((0, 2),))))
 
 def _build_zero_sphere_product(params: dict, space: VectorSpace) -> PointSet:
     half = VectorSpace(space.field, 3)
-    e = product(sphere(half, 0), sphere(half, 1), max_points=space.size)
-    return PointSet._adopt(space, e.membership,
-                           SetDescriptor.make("zero-sphere-product"),
-                           e.factors)
+    return _product_on(space, (sphere(half, 0), sphere(half, 1)),
+                       SetDescriptor.make("zero-sphere-product"))
 
 
 def _build_sidon_embedded(params: dict, space: VectorSpace) -> PointSet:
-    plane = VectorSpace(space.field, 2)
-    return embed(sidon_parabola(plane), space)
+    # the parabola times the origin {0} of F_p^1: a copy of the parabola
+    # in the plane of F_p^3 where the last coordinate is zero
+    fld = space.field
+    origin = PointSet._adopt(VectorSpace(fld, 1), np.arange(fld.p) == 0)
+    return _product_on(space, (sidon_parabola(VectorSpace(fld, 2)), origin),
+                       SetDescriptor.make("sidon-parabola-embedded",
+                                          d=2, ambient_d=3))
 
 
 _REGISTRY: dict[str, FamilySpec] = {}
@@ -143,8 +144,8 @@ _register(FamilySpec(
     name="hamming",
     param_defaults=(("d", 2), ("j", 1)),
     dimension=lambda prm: prm["d"],
-    validate=lambda prm: (_check(prm["d"] >= 2, "hamming requires d >= 2"),
-                          _check(prm["j"] != 0, "hamming requires j != 0"))[0],
+    rules=((lambda prm: prm["d"] >= 2, "hamming requires d >= 2"),
+           (lambda prm: prm["j"] != 0, "hamming requires j != 0")),
     construct=lambda prm, space: hamming_variety(space, prm["j"]),
     alpha=lambda prm: Fraction(prm["d"] - 1),
     # s_p = min{1/(d-1) + 1/p, 1/2}
@@ -158,7 +159,7 @@ _register(FamilySpec(
     name="sphere",
     param_defaults=(("k", 2), ("r", 1)),
     dimension=lambda prm: prm["k"],
-    validate=lambda prm: _check(prm["k"] >= 2, "sphere requires k >= 2"),
+    rules=((lambda prm: prm["k"] >= 2, "sphere requires k >= 2"),),
     construct=lambda prm, space: sphere(space, prm["r"]),
     alpha=lambda prm: Fraction(prm["k"] - 1),
     pieces=_sphere_pieces,
@@ -171,9 +172,9 @@ _register(FamilySpec(
     name="sphere-product",
     param_defaults=(("k", 2), ("m", 2), ("r", 1)),
     dimension=lambda prm: prm["k"] * prm["m"],
-    validate=lambda prm: (_check(prm["k"] >= 2, "need k >= 2"),
-                          _check(prm["m"] >= 1, "need m >= 1"),
-                          _check(prm["r"] != 0, "need r != 0"))[0],
+    rules=((lambda prm: prm["k"] >= 2, "need k >= 2"),
+           (lambda prm: prm["m"] >= 1, "need m >= 1"),
+           (lambda prm: prm["r"] != 0, "need r != 0")),
     construct=lambda prm, space: sphere_product(
         space, prm["k"], prm["m"], prm["r"]),
     alpha=lambda prm: Fraction(prm["m"] * (prm["k"] - 1)),
@@ -187,7 +188,6 @@ _register(FamilySpec(
     name="zero-sphere-product",
     param_defaults=(),
     dimension=lambda prm: 6,
-    validate=lambda prm: None,
     construct=_build_zero_sphere_product,
     alpha=lambda prm: Fraction(4),
     # S_0^2 x S_1^2: s_p = min{1/8 + 1/p, 3/(4p) + 1/4}
@@ -201,9 +201,9 @@ _register(FamilySpec(
     name="cutoff-cylinder",
     param_defaults=(("n", 2), ("m", 1), ("k", 3)),
     dimension=lambda prm: prm["n"] + prm["k"] + 1,
-    validate=lambda prm: (
-        _check(prm["n"] > prm["m"] >= 1, "need n > m >= 1"),
-        _check(prm["k"] > 2 * (prm["n"] - prm["m"]), "need k > 2(n-m)"))[0],
+    rules=((lambda prm: prm["n"] > prm["m"] >= 1, "need n > m >= 1"),
+           (lambda prm: prm["k"] > 2 * (prm["n"] - prm["m"]),
+            "need k > 2(n-m)")),
     construct=lambda prm, space: cutoff_cylinder(
         space, prm["n"], prm["m"], prm["k"]),
     alpha=lambda prm: Fraction(prm["n"] + prm["k"]),
@@ -216,8 +216,8 @@ _register(FamilySpec(
     name="sidon-parabola",
     param_defaults=(("d", 2),),
     dimension=lambda prm: 2,
-    validate=lambda prm: _check(prm["d"] == 2,
-                                "the parabola construction is planar (d=2)"),
+    rules=((lambda prm: prm["d"] == 2,
+            "the parabola construction is planar (d=2)"),),
     construct=lambda prm, space: sidon_parabola(space),
     alpha=lambda prm: Fraction(1),
     pieces=lambda prm: _SIDON_PIECES,
@@ -229,7 +229,6 @@ _register(FamilySpec(
     name="sidon-embedded",
     param_defaults=(),
     dimension=lambda prm: 3,
-    validate=lambda prm: None,
     construct=_build_sidon_embedded,
     alpha=lambda prm: Fraction(1),
     pieces=lambda prm: _SIDON_PIECES,
@@ -243,7 +242,7 @@ _register(FamilySpec(
     name="full-space",
     param_defaults=(("d", 1),),
     dimension=lambda prm: prm["d"],
-    validate=lambda prm: _check(prm["d"] >= 1, "need d >= 1"),
+    rules=((lambda prm: prm["d"] >= 1, "need d >= 1"),),
     construct=lambda prm, space: full_space(space),
 ))
 
@@ -251,9 +250,9 @@ _register(FamilySpec(
     name="random",
     param_defaults=(("d", 2), ("seed", 0), ("percent", 25)),
     dimension=lambda prm: prm["d"],
-    validate=lambda prm: (_check(prm["d"] >= 1, "need d >= 1"),
-                          _check(0 < prm["percent"] <= 100,
-                                 "percent must lie in (0, 100]"))[0],
+    rules=((lambda prm: prm["d"] >= 1, "need d >= 1"),
+           (lambda prm: 0 < prm["percent"] <= 100,
+            "percent must lie in (0, 100]")),
     construct=lambda prm, space: random_set(
         space, prm["percent"], prm["seed"]),
 ))

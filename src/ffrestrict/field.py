@@ -74,25 +74,6 @@ class PrimeField:
         if self.modulus == 2:
             raise ValueError(f"{context} requires odd characteristic, got p = 2")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.modulus
-
-    def inv(self, a: int) -> int:
-        if a % self.modulus == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.modulus - 2, self.modulus)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.modulus)
-        return pow(a, e, self.modulus)
-
 
 class VectorSpace:
     """F_p^d with the canonical index bijection and the character table.

@@ -78,16 +78,3 @@ class Pieces:
         lines = [lines for lo, lines in self.segments if lo <= pe][-1]
         return min(a + b / pe for a, b in lines)
 
-
-def parse(s: str) -> Exact | None:
-    s = s.strip()
-    if s == "none":
-        return None
-    if s in ("inf", "infinity"):
-        return math.inf
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    if "." in s or "e" in s or "E" in s:
-        return Fraction(float(s))
-    return Fraction(int(s))

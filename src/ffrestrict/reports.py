@@ -11,7 +11,6 @@ config: the timestamp field stays null unless explicitly supplied.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -22,7 +21,6 @@ from . import __version__
 from .ensembles import PointSet, SetDescriptor
 from .field import DEFAULT_POINT_CAP, PrimeField, VectorSpace
 from .rationals import fmt as fmt_exact
-from .rationals import parse as parse_exact
 from .restriction import GrowthSweep, ThresholdReport
 from .salem import SalemFit, SpectralProfile
 from .spectral import GridFunction
@@ -46,10 +44,6 @@ def fmt_p_exp(p_exp: float) -> str:
     if float(p_exp) == int(p_exp):
         return str(int(p_exp))
     return f17(p_exp)
-
-
-def parse_p_exp(s: str) -> float:
-    return math.inf if s.strip() in ("inf", "infinity") else float(s)
 
 
 def envelope(config: Mapping, timestamp: str | None = None) -> dict:
@@ -279,12 +273,6 @@ def threshold_report_dict(report: ThresholdReport) -> dict:
         "q_of_lambda": None if report.q_of_lambda is None
                        else fmt_exact(report.q_of_lambda),
     }
-
-
-def parse_threshold_value(s: str):
-    if s == "inadmissible":
-        return None
-    return parse_exact(s)
 
 
 def write_json_report(fp: TextIO, payload: Mapping, config: Mapping,

@@ -224,6 +224,14 @@ class PowerIterConfig:
     tol: float = 1e-8
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.random_starts < 0:
+            raise ValueError(f"starts must be >= 0, got {self.random_starts}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+
 
 # the ascent starts from a Dirac mass at each of the first support points
 DIRAC_STARTS = 16

@@ -39,18 +39,6 @@ class GridFunction(SpaceArray):
     def __len__(self) -> int:
         return self._space.size
 
-    @classmethod
-    def constant(cls, space: VectorSpace, value: complex = 1.0) -> "GridFunction":
-        return cls._adopt(space, np.full(space.size, value, dtype=np.complex128))
-
-    @classmethod
-    def dirac(cls, space: VectorSpace, index: int = 0) -> "GridFunction":
-        if not 0 <= index < space.size:
-            raise ValueError(f"index {index} out of range")
-        v = np.zeros(space.size, dtype=np.complex128)
-        v[index] = 1.0
-        return cls._adopt(space, v)
-
 
 class FFMeasure(SpaceArray):
     """A probability measure on F_p^d: nonnegative weights summing to 1."""
@@ -77,10 +65,6 @@ class FFMeasure(SpaceArray):
     def as_grid(self) -> GridFunction:
         return GridFunction._adopt(self._space,
                                    self._array.astype(np.complex128))
-
-    @classmethod
-    def uniform(cls, space: VectorSpace) -> "FFMeasure":
-        return cls._adopt(space, np.full(space.size, 1.0 / space.size))
 
 
 def random_function(space: VectorSpace, seed: int) -> GridFunction:

@@ -35,7 +35,6 @@ from .field import PrimeField, VectorSpace
 from .reports import read_csv, read_set, write_csv, write_set
 from .restriction import (
     extension_norm_lower_bound,
-    improvement_condition,
     interpolation_params,
     main_threshold,
     mocktao_threshold,
@@ -51,8 +50,6 @@ from .salem import (
     universal_l2_identity,
 )
 from .spectral import (
-    FFMeasure,
-    GridFunction,
     convolve,
     dft_reference,
     fourier_forward,
@@ -92,12 +89,6 @@ def _space(p: int, d: int) -> VectorSpace:
 
 def _suite_field() -> list[CheckResult]:
     out = []
-    for p in (2, 3, 5, 7, 13):
-        fld = PrimeField(p)
-        ok = all(fld.mul(a, fld.inv(a)) == 1 for a in range(1, p))
-        ok = ok and all(fld.add(a, fld.neg(a)) == 0 for a in range(p))
-        ok = ok and all(fld.pow(a, p - 1) == 1 for a in range(1, p))
-        out.append(CheckResult("field", f"arithmetic p={p}", ok))
     for p, d in ((3, 4), (5, 3), (7, 2), (13, 1)):
         space = _space(p, d)
         ok = all(space.encode(space.decode(i)) == i
@@ -259,6 +250,7 @@ PRODUCT_CASES = (
     ("sphere-product", {"k": 2, "m": 2}, (3, 5, 7)),
     ("sphere-product", {"k": 3, "m": 2}, (3, 5, 7)),
     ("zero-sphere-product", {}, (3, 5)),
+    ("sidon-embedded", {}, (3, 5, 7)),
 )
 PRODUCT_GRID = (1.0, 2.0, 4.0, 6.0, 8.0, 64.0, math.inf)
 

@@ -10,7 +10,7 @@ _PUBLIC_API = [
     "multiply_density", "lq_norm", "lq_mu_norm", "random_function",
     "PointSet", "SetDescriptor", "sphere", "product", "hamming_variety",
     "sidon_parabola", "is_sidon", "cutoff_cylinder",
-    "embed", "surface_measure", "random_set", "full_space",
+    "surface_measure", "random_set", "full_space",
     "SpectralProfile", "SalemFit", "profile", "fit_salem_exponent",
     "hamming_exact_transform", "hamming_decay_constant",
     "check_universal_salem",

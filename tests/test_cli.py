@@ -431,6 +431,42 @@ def test_bad_p_grid_is_config_error(tmp_path, capsys, command, grid):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["ext-norm", "--family", "sphere", "--p", "5", "--q", "4"],
+    ["sweep", "--family", "hamming", "--q", "4",
+     "--field-sizes", "5,7,11,13"],
+], ids=["ext-norm", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+    (["--max-iter", "-2"], "max_iter must be >= 1, got -2"),
+    (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+    (["--tol", "0"], "tol must be finite and > 0, got 0.0"),
+    (["--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["--tol", "inf"], "tol must be finite and > 0, got inf"),
+    (["--starts", "-1"], "starts must be >= 0, got -1"),
+], ids=["max-iter-0", "max-iter-neg", "tol-neg", "tol-0", "tol-nan",
+        "tol-inf", "starts-neg"])
+def test_bad_power_iteration_flag_is_config_error(tmp_path, capsys, command,
+                                                  flags, message):
+    code, stdout, err = run_cli(
+        command + flags + ["--out", str(tmp_path / "x")], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_bad_power_iteration_flag_is_reported_with_other_errors(capsys):
+    code, _, err = run_cli(["sweep", "--family", "hamming", "--q", "1",
+                            "--field-sizes", "4,5,7,11", "--starts", "-1"],
+                           capsys)
+    assert code == 1
+    assert "field size 4 is not prime" in err
+    assert "q must lie in [2, inf), got 1.0" in err
+    assert "starts must be >= 0, got -1" in err
+
+
 def test_p_grid_below_the_family_domain_is_config_error(capsys):
     code, stdout, err = run_cli(
         ["salem-fit", "--family", "sphere-product", "--p-grid", "3/2,inf",

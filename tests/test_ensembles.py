@@ -9,8 +9,8 @@ from ffrestrict.field import PrimeField, VectorSpace
 from ffrestrict.ensembles import (
     PointSet,
     SetDescriptor,
+    _product_on,
     cutoff_cylinder,
-    embed,
     full_space,
     hamming_variety,
     is_sidon,
@@ -85,10 +85,10 @@ def test_sphere_product_is_cartesian_power():
 def test_products_keep_their_factors():
     pa = sphere(_space(5, 2), 1)
     pb = sphere(_space(5, 3), 2)
-    e = product(pa, pb, max_points=5 ** 5)
+    e = product(pa, pb)
     assert e.factors == (pa, pb)
     # a product of products keeps the flat list of its factors
-    ee = product(e, pa, max_points=5 ** 7)
+    ee = product(e, pa)
     assert ee.factors == (pa, pb, pa)
     assert sphere_product(_space(5, 6), 3, 2).factors[0].descriptor \
         == SetDescriptor.make("sphere", k=3, r=1)
@@ -133,7 +133,7 @@ def test_product_flat_index_order():
     # in the low positions
     pa = sphere(_space(5, 2), 1)
     pb = sphere(_space(5, 2), 2)
-    e = product(pa, pb, max_points=5 ** 4)
+    e = product(pa, pb)
     assert e.space.dimension == 4
     want = {a + b for a in _points(pa) for b in _points(pb)}
     assert _points(e) == want
@@ -243,20 +243,26 @@ def test_cutoff_cylinder_validation():
 # ----------------------------------------------------- embed and misc
 
 def test_embed_preserves_points():
-    plane = _space(7, 2)
-    e = sidon_parabola(plane)
-    big = embed(e, _space(7, 3))
+    # sidon-embedded is the parabola times the origin {0} of F_p^1
+    e = sidon_parabola(_space(7, 2))
+    big = families.builder("sidon-embedded")(7)
     assert big.cardinality == e.cardinality
     assert _points(big) == {pt + (0,) for pt in _points(e)}
     assert big.descriptor.family == "sidon-parabola-embedded"
     assert is_sidon(big)
+    plane, origin = big.factors
+    assert np.array_equal(plane.membership, e.membership)
+    assert _points(origin) == {(0,)}
 
 
 def test_embed_requires_room():
-    with pytest.raises(ValueError):
-        embed(sidon_parabola(_space(7, 2)), _space(7, 1))
-    with pytest.raises(ValueError):
-        embed(sidon_parabola(_space(7, 2)), _space(5, 3))
+    # the embedded parabola's factors must tile the space they build on
+    parts = families.builder("sidon-embedded")(7).factors
+    desc = SetDescriptor.make("embedded")
+    with pytest.raises(ValueError, match="tile"):
+        _product_on(_space(7, 1), parts, desc)
+    with pytest.raises(ValueError, match="tile"):
+        _product_on(_space(5, 3), parts, desc)
 
 
 def test_full_space_and_alpha():
@@ -338,6 +344,26 @@ def test_builder_rejects_a_field_size_the_family_excludes(name, params, p,
                                                           message):
     with pytest.raises(ValueError, match=message):
         families.builder(name, params)(p)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("hamming", {"d": 1, "j": 0}, "hamming requires d >= 2"),
+    ("hamming", {"j": 0}, "hamming requires j != 0"),
+    ("sphere", {"k": 1}, "sphere requires k >= 2"),
+    ("sphere-product", {"k": 1, "m": 0, "r": 0}, "need k >= 2"),
+    ("sphere-product", {"m": 0, "r": 0}, "need m >= 1"),
+    ("sphere-product", {"r": 0}, "need r != 0"),
+    ("cutoff-cylinder", {"n": 1, "k": 0}, "need n > m >= 1"),
+    ("cutoff-cylinder", {"k": 2}, "need k > 2(n-m)"),
+    ("sidon-parabola", {"d": 3}, "the parabola construction is planar (d=2)"),
+    ("full-space", {"d": 0}, "need d >= 1"),
+    ("random", {"d": 0, "percent": 0}, "need d >= 1"),
+    ("random", {"percent": 101}, "percent must lie in (0, 100]"),
+])
+def test_family_rules_report_the_first_broken_rule(name, params, message):
+    with pytest.raises(ValueError) as exc:
+        families.get(name).resolve_params(params)
+    assert str(exc.value) == message
 
 
 def test_zero_sphere_is_valid_at_every_odd_field_size():

@@ -1,9 +1,12 @@
 """Pinned CLI commands print exactly the committed bytes.
 
-Each command runs in-process through `cli.main` with `--out -`; its exit
-code must be 0 and its stdout must equal `tests/golden/<name>.txt` byte
-for byte.  A change that moves any printed digit shows up here as a
-diff.  To rewrite the files after an intended change, run
+Each command runs in-process through `cli.main` with `--out -`.  A
+command in `COMMANDS` must exit 0 and its stdout must equal
+`tests/golden/<name>.txt` byte for byte.  A command in `FAILING` must
+exit with its pinned code, print nothing on stdout, and its stderr must
+equal the golden file.  A change that moves any printed digit or message
+shows up here as a diff.  To rewrite the files after an intended change,
+run
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -23,6 +26,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 SWEEP_HAMMING = ["sweep", "--family", "hamming", "--d", "2",
                  "--field-sizes", "5,7,11,13", "--starts", "2"]
+PROFILE_GRID = ["--p-grid", "1,2,4,8,inf"]
+FIT_SIZES = ["--field-sizes", "3,5,7,11"]
 
 COMMANDS = {
     "sweep-hamming-d2-q3": [*SWEEP_HAMMING, "--q", "3"],
@@ -32,28 +37,70 @@ COMMANDS = {
     "ext-norm-sidon-embedded-p5-q6": ["ext-norm", "--family",
                                       "sidon-embedded", "--p", "5",
                                       "--q", "6"],
+    "build-set-sidon-embedded-p7": ["build-set", "--family",
+                                    "sidon-embedded", "--p", "7"],
+    "build-set-zero-sphere-product-p3": ["build-set", "--family",
+                                         "zero-sphere-product", "--p", "3"],
+    "salem-profile-sidon-embedded-p5": ["salem-profile", "--family",
+                                        "sidon-embedded", "--p", "5",
+                                        *PROFILE_GRID],
+    "salem-profile-zero-sphere-product-p5": ["salem-profile", "--family",
+                                             "zero-sphere-product",
+                                             "--p", "5", *PROFILE_GRID],
+    "salem-fit-sidon-embedded": ["salem-fit", "--family", "sidon-embedded",
+                                 *FIT_SIZES],
+    "salem-fit-zero-sphere-product": ["salem-fit", "--family",
+                                      "zero-sphere-product", *FIT_SIZES],
+}
+
+EXT_NORM_SPHERE = ["ext-norm", "--family", "sphere", "--p", "5", "--q", "4"]
+
+# name -> (exit code, argv); the golden file holds the stderr
+FAILING = {
+    "ext-norm-max-iter-0": (1, [*EXT_NORM_SPHERE, "--max-iter", "0"]),
+    "ext-norm-tol-nan": (1, [*EXT_NORM_SPHERE, "--tol", "nan"]),
+    "sweep-starts-negative": (1, ["sweep", "--family", "hamming", "--q", "4",
+                                  "--field-sizes", "5,7,11,13",
+                                  "--starts", "-1"]),
+    "salem-fit-full-space": (2, ["salem-fit", "--family", "full-space",
+                                 *FIT_SIZES]),
 }
 
 
-def run(argv: list[str]) -> tuple[int, bytes]:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+def run(argv: list[str]) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([*argv, "--out", "-"])
-    return code, buf.getvalue().encode("utf-8")
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden_bytes(name):
-    code, out = run(COMMANDS[name])
+    code, out, _ = run(COMMANDS[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_cli_failure_matches_golden_exit_code_and_stderr(name):
+    want_code, argv = FAILING[name]
+    code, out, err = run(argv)
+    assert code == want_code
+    assert out == b""
+    assert err == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
-        code, out = run(argv)
+        code, out, _ = run(argv)
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.txt").write_bytes(out)
         print(f"wrote {name}.txt ({len(out)} bytes)")
+    for name, (want_code, argv) in FAILING.items():
+        code, out, err = run(argv)
+        if code != want_code or out:
+            sys.exit(f"{name}: exit code {code}, {len(out)} bytes on stdout")
+        (GOLDEN / f"{name}.txt").write_bytes(err)
+        print(f"wrote {name}.txt ({len(err)} bytes of stderr)")

@@ -343,7 +343,7 @@ def test_extension_apply_linear():
 def test_witness_ratio_matches_manual():
     space = _space(5, 2)
     mu = surface_measure(sphere(space, 1))
-    f = GridFunction.constant(space)
+    f = GridFunction(space, np.ones(space.size))
     from ffrestrict.spectral import lq_mu_norm, lq_norm, multiply_density
     from ffrestrict.spectral import fourier_forward
     manual = lq_norm(fourier_forward(multiply_density(f, mu)), 4.0) \
@@ -354,7 +354,8 @@ def test_witness_ratio_matches_manual():
 def test_witness_ratio_rejects_zero_witness():
     space = _space(5, 2)
     mu = surface_measure(sphere(space, 1))
-    off_support = GridFunction.dirac(space, 0)  # origin not on the sphere
+    # a Dirac mass at the origin, which is not on the sphere
+    off_support = GridFunction(space, np.arange(space.size) == 0)
     with pytest.raises(ValueError):
         witness_ratio(off_support, mu, 4.0)
 
@@ -399,6 +400,21 @@ def test_lower_bound_rejects_bad_q():
         extension_norm_lower_bound(mu, 1.5)
     with pytest.raises(ValueError):
         extension_norm_lower_bound(mu, math.inf)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"random_starts": -1}, "starts must be >= 0"),
+    ({"max_iter": 0}, "max_iter must be >= 1"),
+    ({"tol": 0.0}, "tol must be finite and > 0"),
+    ({"tol": -1e-8}, "tol must be finite and > 0"),
+    ({"tol": math.nan}, "tol must be finite and > 0"),
+    ({"tol": math.inf}, "tol must be finite and > 0"),
+])
+def test_power_iter_config_rejects_broken_rules(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        PowerIterConfig(**kwargs)
+    # the edges are allowed: no random start, and a single step
+    assert PowerIterConfig(random_starts=0, max_iter=1).max_iter == 1
 
 
 # ------------------------------------------------------ batched ascent
