@@ -1,4 +1,6 @@
-"""Every script in demos/ runs to completion."""
+"""Every script in demos/ runs to completion and prints exactly its
+pinned stdout, `tests/golden/demo-<name>.txt` (rewritten by
+`tests/test_golden.py`)."""
 
 import os
 import pathlib
@@ -11,13 +13,23 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def demo_golden(demo: pathlib.Path) -> pathlib.Path:
+    return ROOT / "tests" / "golden" / f"demo-{demo.stem}.txt"
+
+
+def run_demo(demo: pathlib.Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    return subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          env=env, cwd=ROOT, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = run_demo(demo)
+    stderr = proc.stderr.decode("utf-8", "replace")
+    assert proc.returncode == 0, stderr
+    assert "Traceback" not in stderr
     assert proc.stdout
+    assert proc.stdout == demo_golden(demo).read_bytes()

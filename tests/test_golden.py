@@ -1,12 +1,14 @@
 """Pinned CLI commands print exactly the committed bytes.
 
-Each command runs in-process through `cli.main` with `--out -`.  A
-command in `COMMANDS` must exit 0 and its stdout must equal
-`tests/golden/<name>.txt` byte for byte.  A command in `FAILING` must
-exit with its pinned code, print nothing on stdout, and its stderr must
-equal the golden file.  A change that moves any printed digit or message
-shows up here as a diff.  To rewrite the files after an intended change,
-run
+Each command runs in-process through `cli.main` with `--out -`, in the
+`tests/golden` directory, so an input file is named by the same relative
+path (`inputs/...`) in every message.  A command in `COMMANDS` must exit
+0 and its stdout must equal `tests/golden/<name>.txt` byte for byte.  A
+command in `FAILING` must exit with its pinned code, print nothing on
+stdout, and its stderr must equal the golden file.  The demos' stdout is
+pinned in `tests/golden/demo-<name>.txt` (`tests/test_demos.py`).  A
+change that moves any printed digit or message shows up here as a diff.
+To rewrite the files after an intended change, run
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -51,6 +53,19 @@ COMMANDS = {
                                  *FIT_SIZES],
     "salem-fit-zero-sphere-product": ["salem-fit", "--family",
                                       "zero-sphere-product", *FIT_SIZES],
+    "transform-f5x2": ["transform", "--in", "inputs/f5x2.csv"],
+    "transform-inverse-f5x2": ["transform", "--in", "inputs/f5x2.csv",
+                               "--inverse"],
+    **{f"build-set-{family}-p{p}": ["build-set", "--family", family,
+                                    "--p", str(p), *extra]
+       for family, p, extra in [
+           ("hamming", 5, []), ("sphere", 7, []), ("sphere-product", 3, []),
+           ("cutoff-cylinder", 3, []), ("sidon-parabola", 7, []),
+           ("full-space", 5, []), ("random", 5, ["--seed", "2"])]},
+    **{f"exponents-{family}": ["exponents", "--family", family]
+       for family in ["hamming", "sphere", "sphere-product",
+                      "zero-sphere-product", "cutoff-cylinder",
+                      "sidon-parabola", "sidon-embedded"]},
 }
 
 EXT_NORM_SPHERE = ["ext-norm", "--family", "sphere", "--p", "5", "--q", "4"]
@@ -64,12 +79,18 @@ FAILING = {
                                   "--starts", "-1"]),
     "salem-fit-full-space": (2, ["salem-fit", "--family", "full-space",
                                  *FIT_SIZES]),
+    "transform-header-p9": (1, ["transform", "--in",
+                                "inputs/header-p9.csv"]),
+    "transform-header-p-too-large": (1, ["transform", "--in",
+                                         "inputs/header-p-too-large.csv"]),
+    "transform-header-d0": (1, ["transform", "--in", "inputs/header-d0.csv"]),
 }
 
 
 def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            contextlib.chdir(GOLDEN):
         code = cli.main([*argv, "--out", "-"])
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
@@ -91,6 +112,7 @@ def test_cli_failure_matches_golden_exit_code_and_stderr(name):
 
 
 if __name__ == "__main__":
+    from test_demos import DEMOS, demo_golden, run_demo
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
         code, out, _ = run(argv)
@@ -104,3 +126,9 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit code {code}, {len(out)} bytes on stdout")
         (GOLDEN / f"{name}.txt").write_bytes(err)
         print(f"wrote {name}.txt ({len(err)} bytes of stderr)")
+    for demo in DEMOS:
+        proc = run_demo(demo)
+        if proc.returncode != 0:
+            sys.exit(f"{demo.name}: exit code {proc.returncode}")
+        demo_golden(demo).write_bytes(proc.stdout)
+        print(f"wrote {demo_golden(demo).name} ({len(proc.stdout)} bytes)")
