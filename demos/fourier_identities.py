@@ -8,7 +8,6 @@ p^d factor.  Everything is exact up to rounding.
 import numpy as np
 
 from ffrestrict import (
-    PrimeField,
     VectorSpace,
     convolve,
     fourier_forward,
@@ -18,7 +17,7 @@ from ffrestrict import (
 )
 
 for p, d in [(5, 2), (7, 2), (13, 3)]:
-    space = VectorSpace(PrimeField(p), d)
+    space = VectorSpace(p, d)
     f = random_function(space, seed=1)
     g = random_function(space, seed=2)
     fh = fourier_forward(f)

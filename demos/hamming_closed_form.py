@@ -9,7 +9,6 @@ The script prints the worst closed-form gap and the measured constant.
 import numpy as np
 
 from ffrestrict import (
-    PrimeField,
     VectorSpace,
     fourier_forward,
     hamming_exact_transform,
@@ -18,7 +17,7 @@ from ffrestrict import (
 )
 
 for p, d in [(5, 2), (7, 3), (11, 3), (5, 4)]:
-    space = VectorSpace(PrimeField(p), d)
+    space = VectorSpace(p, d)
     e = hamming_variety(space, 1)
     mhat = fourier_forward(surface_measure(e).as_grid()).values
 

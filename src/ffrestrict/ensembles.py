@@ -67,9 +67,6 @@ class PointSet(SpaceArray):
     def cardinality(self) -> int:
         return self._cardinality
 
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self._array)
-
     def alpha(self) -> float:
         """Regularity exponent of the surface measure: log|E| / log p."""
         return float(np.log(self._cardinality) / np.log(self._space.p))
@@ -96,7 +93,7 @@ def full_space(space: VectorSpace) -> PointSet:
 
 def sphere(space: VectorSpace, r: int) -> PointSet:
     """S_r^{k-1} = {x in F_p^k : x.x = r}, k >= 2, p odd."""
-    space.field.require_odd("sphere")
+    space.require_odd("sphere")
     if space.dimension < 2:
         raise ValueError("sphere requires dimension >= 2")
     p = space.p
@@ -126,7 +123,7 @@ def product(a: PointSet, b: PointSet) -> PointSet:
     """A x B in F_p^{da+db}; A occupies the low-weight coordinates."""
     if a.space.p != b.space.p:
         raise ValueError("product requires a common base field")
-    target = VectorSpace(a.space.field, a.space.dimension + b.space.dimension)
+    target = VectorSpace(a.space.p, a.space.dimension + b.space.dimension)
     return _product_on(target, (a, b), SetDescriptor.make(
         "product", da=a.space.dimension, db=b.space.dimension))
 
@@ -135,7 +132,7 @@ def sphere_product(space: VectorSpace, k: int, m: int, r: int = 1) -> PointSet:
     """The m-fold product of spheres S_r^{k-1}, inside F_p^{km}."""
     if space.dimension != k * m:
         raise ValueError(f"space dimension must be k*m = {k * m}")
-    factor = sphere(VectorSpace(space.field, k), r)
+    factor = sphere(VectorSpace(space.p, k), r)
     return _product_on(space, (factor,) * m, SetDescriptor.make(
         "sphere-product", k=k, m=m, r=r % space.p))
 
@@ -163,7 +160,7 @@ def hamming_variety(space: VectorSpace, j: int) -> PointSet:
 
 def sidon_parabola(space: VectorSpace) -> PointSet:
     """{(t, t^2) : t in F_p} in F_p^2; a Sidon set of size p, p odd."""
-    space.field.require_odd("sidon parabola")
+    space.require_odd("sidon parabola")
     if space.dimension != 2:
         raise ValueError("sidon parabola lives in dimension 2")
     p = space.p
@@ -184,7 +181,7 @@ def is_sidon(e: PointSet) -> bool:
     n = e.cardinality
     if n > SIDON_CHECK_CAP:
         raise ValueError(f"is_sidon capped at {SIDON_CHECK_CAP} points, got {n}")
-    pts = e.indices()
+    pts = e.support_indices()
     space = e.space
     sums = space.index_add(pts[:, None], pts[None, :])
     iu, ju = np.triu_indices(n)
@@ -205,15 +202,15 @@ def cutoff_cylinder(space: VectorSpace, n: int, m: int, k: int) -> PointSet:
         raise ValueError(f"need k > 2(n-m) = {2 * (n - m)}, got k={k}")
     if space.dimension != n + k + 1:
         raise ValueError(f"space dimension must be n+k+1 = {n + k + 1}")
-    space.field.require_odd("cutoff cylinder")
+    space.require_odd("cutoff cylinder")
     p = space.p
     # the slab F^m x (F^{n-m} minus 0) in F^n, coordinates m..n-1 on the
     # high-weight axis, times the unit sphere on coordinates n..n+k
     punctured = np.ones(p ** (n - m), dtype=bool)
     punctured[0] = False
-    slab = PointSet._adopt(VectorSpace(space.field, n, max_points=space.size),
+    slab = PointSet._adopt(VectorSpace(p, n, max_points=space.size),
                            np.repeat(punctured, p ** m))
-    cap = sphere(VectorSpace(space.field, k + 1, max_points=space.size), 1)
+    cap = sphere(VectorSpace(p, k + 1, max_points=space.size), 1)
     return _product_on(space, (slab, cap), SetDescriptor.make(
         "cutoff-cylinder", n=n, m=m, k=k))
 

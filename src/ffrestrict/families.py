@@ -28,7 +28,7 @@ from .ensembles import (
     sphere,
     sphere_product,
 )
-from .field import DEFAULT_POINT_CAP, PrimeField, VectorSpace
+from .field import DEFAULT_POINT_CAP, VectorSpace
 from .rationals import Exact, Pieces, is_inf
 from .restriction import (
     ThresholdReport,
@@ -118,7 +118,7 @@ _SIDON_PIECES = Pieces(((1, ((0, 1),)), (4, ((0, 2),))))
 
 
 def _build_zero_sphere_product(params: dict, space: VectorSpace) -> PointSet:
-    half = VectorSpace(space.field, 3)
+    half = VectorSpace(space.p, 3)
     return _product_on(space, (sphere(half, 0), sphere(half, 1)),
                        SetDescriptor.make("zero-sphere-product"))
 
@@ -126,9 +126,9 @@ def _build_zero_sphere_product(params: dict, space: VectorSpace) -> PointSet:
 def _build_sidon_embedded(params: dict, space: VectorSpace) -> PointSet:
     # the parabola times the origin {0} of F_p^1: a copy of the parabola
     # in the plane of F_p^3 where the last coordinate is zero
-    fld = space.field
-    origin = PointSet._adopt(VectorSpace(fld, 1), np.arange(fld.p) == 0)
-    return _product_on(space, (sidon_parabola(VectorSpace(fld, 2)), origin),
+    p = space.p
+    origin = PointSet._adopt(VectorSpace(p, 1), np.arange(p) == 0)
+    return _product_on(space, (sidon_parabola(VectorSpace(p, 2)), origin),
                        SetDescriptor.make("sidon-parabola-embedded",
                                           d=2, ambient_d=3))
 
@@ -286,8 +286,7 @@ def builder(name: str, params: Mapping[str, int] | None = None,
         errs = spec.size_errors(prm, p)
         if errs:
             raise ValueError("; ".join(errs))
-        space = VectorSpace(PrimeField(p), spec.dimension(prm),
-                            max_points=max_points)
+        space = VectorSpace(p, spec.dimension(prm), max_points=max_points)
         return spec.construct(prm, space)
 
     return make

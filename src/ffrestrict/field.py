@@ -1,4 +1,4 @@
-"""Prime fields F_p, the vector spaces F_p^d, and the additive character.
+"""The vector spaces F_p^d over a prime field, and the additive character.
 
 Residues are plain Python ints in [0, p).  Points of F_p^d are tuples of
 residues; bulk work uses flat indices under the little-endian mixed-radix
@@ -7,7 +7,6 @@ bijection index = sum(coords[i] * p**i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the supported p < 2^31."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -50,63 +49,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p of integers mod a prime p < 2^31."""
-
-    modulus: int
-
-    def __post_init__(self) -> None:
-        p = self.modulus
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise TypeError(f"modulus must be an int, got {type(p).__name__}")
-        if p >= 2 ** 31:
-            raise ValueError(f"modulus {p} exceeds the supported range p < 2^31")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-
-    @property
-    def p(self) -> int:
-        return self.modulus
-
-    def require_odd(self, context: str) -> None:
-        # Spheres and parabolas need 2 to be invertible.
-        if self.modulus == 2:
-            raise ValueError(f"{context} requires odd characteristic, got p = 2")
-
-
 class VectorSpace:
-    """F_p^d with the canonical index bijection and the character table.
+    """F_p^d for a prime p < 2^31, with the canonical index bijection and
+    the character table.
 
     The additive character is fixed as chi(t) = exp(2*pi*i*t/p); values
     are precomputed in a table of length p.  Instances are immutable and
     safe to share across threads.
     """
 
-    def __init__(self, fld: PrimeField, dimension: int,
+    def __init__(self, p: int, dimension: int,
                  max_points: int = DEFAULT_POINT_CAP) -> None:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError(f"modulus must be an int, got {type(p).__name__}")
+        if p >= 2 ** 31:
+            raise ValueError(f"modulus {p} exceeds the supported range p < 2^31")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
-        if over_point_cap(fld.modulus, dimension, max_points):
+        if over_point_cap(p, dimension, max_points):
             raise ValueError(
-                f"p^d = {fld.modulus}^{dimension} exceeds the point cap "
+                f"p^d = {p}^{dimension} exceeds the point cap "
                 f"{max_points}; raise max_points explicitly if this size "
                 "is intended")
-        size = fld.modulus ** dimension
-        self._field = fld
+        self._p = p
         self._dimension = dimension
-        self._size = size
-        table = np.exp(2j * np.pi * np.arange(fld.modulus) / fld.modulus)
+        self._size = p ** dimension
+        table = np.exp(2j * np.pi * np.arange(p) / p)
         table.setflags(write=False)
         self._chi_table = table
 
     @property
-    def field(self) -> PrimeField:
-        return self._field
-
-    @property
     def p(self) -> int:
-        return self._field.modulus
+        return self._p
 
     @property
     def dimension(self) -> int:
@@ -130,6 +106,11 @@ class VectorSpace:
 
     def __repr__(self) -> str:
         return f"VectorSpace(F_{self.p}^{self._dimension})"
+
+    def require_odd(self, context: str) -> None:
+        # Spheres and parabolas need 2 to be invertible.
+        if self._p == 2:
+            raise ValueError(f"{context} requires odd characteristic, got p = 2")
 
     def encode(self, coords: Sequence[int]) -> int:
         if len(coords) != self._dimension:
@@ -208,3 +189,7 @@ class SpaceArray:
     @property
     def space(self) -> VectorSpace:
         return self._space
+
+    def support_indices(self) -> np.ndarray:
+        """Flat indices of the nonzero entries, ascending."""
+        return np.flatnonzero(self._array)

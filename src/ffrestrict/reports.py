@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .ensembles import PointSet, SetDescriptor
-from .field import DEFAULT_POINT_CAP, PrimeField, VectorSpace
+from .field import DEFAULT_POINT_CAP, VectorSpace
 from .rationals import fmt as fmt_exact
 from .restriction import GrowthSweep, ThresholdReport
 from .salem import SalemFit, SpectralProfile
@@ -69,7 +69,7 @@ def write_set(fp: TextIO, e: PointSet) -> None:
     }
     fp.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
     fp.write("\n")
-    for idx in e.indices():
+    for idx in e.support_indices():
         fp.write(f"{int(idx)}\n")
 
 
@@ -94,7 +94,7 @@ def _read_space(fp: TextIO, max_points: int) -> tuple[dict, VectorSpace]:
         raise FileContentError(f"unreadable header line: {exc}") from None
     try:
         p, d = _header_int(header, "p"), _header_int(header, "d")
-        space = VectorSpace(PrimeField(p), d, max_points=max_points)
+        space = VectorSpace(p, d, max_points=max_points)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileContentError(f"bad header {header!r}: {exc}") from None
     return header, space

@@ -59,9 +59,6 @@ class FFMeasure(SpaceArray):
     def weights(self) -> np.ndarray:
         return self._array
 
-    def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._array)
-
     def as_grid(self) -> GridFunction:
         return GridFunction._adopt(self._space,
                                    self._array.astype(np.complex128))

@@ -31,7 +31,7 @@ from .ensembles import (
     sphere,
     surface_measure,
 )
-from .field import PrimeField, VectorSpace
+from .field import VectorSpace
 from .reports import read_csv, read_set, write_csv, write_set
 from .restriction import (
     extension_norm_lower_bound,
@@ -83,19 +83,15 @@ def character_sign_fault() -> Iterator[None]:
         spectral._transform = original
 
 
-def _space(p: int, d: int) -> VectorSpace:
-    return VectorSpace(PrimeField(p), d)
-
-
 def _suite_field() -> list[CheckResult]:
     out = []
     for p, d in ((3, 4), (5, 3), (7, 2), (13, 1)):
-        space = _space(p, d)
+        space = VectorSpace(p, d)
         ok = all(space.encode(space.decode(i)) == i
                  for i in range(space.size))
         out.append(CheckResult("field", f"index bijection F_{p}^{d}", ok))
     for p, d in ((3, 2), (5, 2), (7, 1), (11, 2)):
-        space = _space(p, d)
+        space = VectorSpace(p, d)
         idx = space.all_indices()
         worst = 0.0
         for xi in (1, space.size - 1, space.size // 2):
@@ -116,7 +112,7 @@ def _suite_field() -> list[CheckResult]:
 def _suite_parseval() -> list[CheckResult]:
     out = []
     for p, d in ((3, 2), (5, 2), (7, 1), (11, 1), (13, 2)):
-        space = _space(p, d)
+        space = VectorSpace(p, d)
         f = random_function(space, seed=1000 + p * 10 + d)
         g = random_function(space, seed=2000 + p * 10 + d)
         n1 = float(np.sum(np.abs(f.values)))
@@ -148,7 +144,7 @@ def _suite_parseval() -> list[CheckResult]:
         ok = bool(np.max(np.abs(conv - prod)) <= 1e-9 * denom)
         out.append(CheckResult("parseval", f"convolution law F_{p}^{d}", ok))
     for p, d in ((67, 1), (101, 1), (127, 1), (67, 2)):
-        space = _space(p, d)
+        space = VectorSpace(p, d)
         f = random_function(space, seed=p + d)
         want = dft_reference(f, max_points=space.size).values
         got = fourier_forward(f).values
@@ -162,7 +158,7 @@ def _suite_ensembles() -> list[CheckResult]:
     out = []
     for p in (3, 5, 7, 11):
         for d in (2, 3, 4):
-            space = _space(p, d)
+            space = VectorSpace(p, d)
             for j in (1, p - 1):
                 e = hamming_variety(space, j)
                 ok = e.cardinality == (p - 1) ** (d - 1)
@@ -170,21 +166,21 @@ def _suite_ensembles() -> list[CheckResult]:
                     "ensembles", f"hamming size p={p} d={d} j={j}", ok))
     for p in (3, 5, 7, 11, 13):
         for k in (2, 3):
-            e = sphere(_space(p, k), 1)
+            e = sphere(VectorSpace(p, k), 1)
             bound = 2 * p ** ((k - 1) / 2 + 0.5)
             ok = abs(e.cardinality - p ** (k - 1)) <= bound
             out.append(CheckResult(
                 "ensembles", f"sphere count band p={p} k={k}", ok,
                 f"|S| = {e.cardinality}"))
     for p in (3, 5, 7, 11, 13):
-        e = sidon_parabola(_space(p, 2))
+        e = sidon_parabola(VectorSpace(p, 2))
         out.append(CheckResult("ensembles", f"parabola sidon p={p}",
                                e.cardinality == p and is_sidon(e)))
     for p, d in ((5, 2), (7, 2)):
-        e = random_set(_space(p, d), 40, seed=p)
+        e = random_set(VectorSpace(p, d), 40, seed=p)
         mu = surface_measure(e)
         ok = abs(float(mu.weights.sum()) - 1.0) <= 1e-12
-        ok = ok and np.array_equal(mu.support_indices(), e.indices())
+        ok = ok and np.array_equal(mu.support_indices(), e.support_indices())
         out.append(CheckResult("ensembles", f"surface measure p={p} d={d}", ok))
     return out
 
@@ -193,7 +189,7 @@ def _suite_hamming() -> list[CheckResult]:
     out = []
     for p in (3, 5, 7):
         for d in (2, 3):
-            space = _space(p, d)
+            space = VectorSpace(p, d)
             e = hamming_variety(space, 1)
             mhat = fourier_forward(surface_measure(e).as_grid()).values
             worst = 0.0
@@ -220,7 +216,7 @@ def _suite_salem() -> list[CheckResult]:
     for trial in range(6):
         p = int(rng.choice((5, 7, 11)))
         d = int(rng.choice((1, 2)))
-        e = random_set(_space(p, d), int(rng.integers(10, 91)),
+        e = random_set(VectorSpace(p, d), int(rng.integers(10, 91)),
                        seed=300 + trial)
         for p_exp in (2.0, 4.0, math.inf):
             rep = check_universal_salem(e, p_exp)
@@ -232,7 +228,7 @@ def _suite_salem() -> list[CheckResult]:
             "salem", f"l2 identity p={p} d={d} t={trial}",
             abs(lhs - rhs) <= 1e-12, f"|diff| = {abs(lhs - rhs):.2e}"))
     for p in (5, 7, 11):
-        e = hamming_variety(_space(p, 2), 1)
+        e = hamming_variety(VectorSpace(p, 2), 1)
         mhat = fourier_forward(surface_measure(e).as_grid())
         grid = [1.0, 2.0, 4.0, 8.0, 16.0, math.inf]
         norms = [lp_average_norm(mhat, pe) for pe in grid]
@@ -335,7 +331,7 @@ def _suite_restriction() -> list[CheckResult]:
           and report.improvement)
     out.append(CheckResult("restriction", "hamming d=4 thresholds", ok))
 
-    e = hamming_variety(_space(5, 2), 1)
+    e = hamming_variety(VectorSpace(5, 2), 1)
     mu = surface_measure(e)
     cfg = PowerIterConfig(random_starts=2, max_iter=200)
     est = extension_norm_lower_bound(mu, 4.0, cfg)
@@ -350,7 +346,7 @@ def _suite_restriction() -> list[CheckResult]:
 
 def _suite_reports() -> list[CheckResult]:
     out = []
-    e = hamming_variety(_space(5, 3), 2)
+    e = hamming_variety(VectorSpace(5, 3), 2)
     buf = io.StringIO()
     write_set(buf, e)
     buf.seek(0)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from ffrestrict import cli, families, verify
-from ffrestrict.field import PrimeField, VectorSpace
+from ffrestrict.field import VectorSpace
 from ffrestrict.ensembles import (
     hamming_variety,
     is_sidon,
@@ -43,8 +43,8 @@ from ffrestrict.spectral import (
 
 def _space(p, d, cap=None):
     if cap is None:
-        return VectorSpace(PrimeField(p), d)
-    return VectorSpace(PrimeField(p), d, max_points=cap)
+        return VectorSpace(p, d)
+    return VectorSpace(p, d, max_points=cap)
 
 
 def _sparse_function(space, seed, nnz=12):

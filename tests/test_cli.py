@@ -65,10 +65,10 @@ def test_build_set_stdout_info_goes_to_stderr(capsys):
 
 def test_transform_roundtrip(tmp_path, capsys):
     import numpy as np
-    from ffrestrict.field import PrimeField, VectorSpace
+    from ffrestrict.field import VectorSpace
     from ffrestrict.spectral import random_function
 
-    space = VectorSpace(PrimeField(7), 2)
+    space = VectorSpace(7, 2)
     f = random_function(space, seed=3)
     src = tmp_path / "f.fn"
     with open(src, "w", newline="") as fp:

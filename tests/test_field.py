@@ -1,4 +1,4 @@
-"""Field arithmetic, index codecs, and character table."""
+"""Primality, the space checks, index codecs, and character table."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from ffrestrict.field import (
     DEFAULT_POINT_CAP,
-    PrimeField,
     VectorSpace,
     is_prime,
 )
@@ -36,20 +35,42 @@ def test_is_prime_large_values():
 
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
-        PrimeField(6)
+        VectorSpace(6, 1)
     with pytest.raises(ValueError):
-        PrimeField(1)
+        VectorSpace(1, 1)
+
+
+@pytest.mark.parametrize("p, error, message", [
+    (True, TypeError, "modulus must be an int, got bool"),
+    (5.0, TypeError, "modulus must be an int, got float"),
+    (2147483659, ValueError,
+     "modulus 2147483659 exceeds the supported range p < 2^31"),
+    (6, ValueError, "modulus 6 is not prime"),
+    (1, ValueError, "modulus 1 is not prime"),
+])
+def test_space_rejects_bad_modulus_with_exact_message(p, error, message):
+    with pytest.raises(error) as info:
+        VectorSpace(p, 1)
+    assert str(info.value) == message
+
+
+def test_modulus_is_checked_before_dimension():
+    with pytest.raises(ValueError, match="^modulus 9 is not prime$"):
+        VectorSpace(9, 0)
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+        VectorSpace(5, 0)
 
 
 def test_require_odd():
-    PrimeField(3).require_odd("test")
-    with pytest.raises(ValueError):
-        PrimeField(2).require_odd("test")
+    VectorSpace(3, 1).require_odd("test")
+    with pytest.raises(ValueError) as info:
+        VectorSpace(2, 1).require_odd("test")
+    assert str(info.value) == "test requires odd characteristic, got p = 2"
 
 
 def test_encode_decode_bijection():
     for p, d in [(3, 4), (5, 3), (7, 2), (13, 1)]:
-        space = VectorSpace(PrimeField(p), d)
+        space = VectorSpace(p, d)
         seen = set()
         for idx in range(space.size):
             coords = space.decode(idx)
@@ -61,7 +82,7 @@ def test_encode_decode_bijection():
 
 
 def test_encode_is_little_endian():
-    space = VectorSpace(PrimeField(5), 3)
+    space = VectorSpace(5, 3)
     assert space.encode((1, 0, 0)) == 1
     assert space.encode((0, 1, 0)) == 5
     assert space.encode((0, 0, 1)) == 25
@@ -69,7 +90,7 @@ def test_encode_is_little_endian():
 
 
 def test_coordinate_matches_decode():
-    space = VectorSpace(PrimeField(7), 3)
+    space = VectorSpace(7, 3)
     idx = space.all_indices()
     for axis in range(3):
         col = space.coordinate(idx, axis)
@@ -78,7 +99,7 @@ def test_coordinate_matches_decode():
 
 
 def test_index_add_and_neg():
-    space = VectorSpace(PrimeField(5), 2)
+    space = VectorSpace(5, 2)
     a = space.all_indices()
     b = np.roll(a, 7)
     summed = space.index_add(a, b)
@@ -94,7 +115,7 @@ def test_index_add_and_neg():
 
 def test_character_is_additive():
     for p in [3, 7, 11]:
-        space = VectorSpace(PrimeField(p), 1)
+        space = VectorSpace(p, 1)
         for a in range(p):
             for b in range(p):
                 lhs = space.chi_table[a] * space.chi_table[b]
@@ -105,7 +126,7 @@ def test_character_is_additive():
 def test_character_orthogonality():
     # sum_t chi(x t) = p if x = 0 else 0
     for p in [3, 5, 13]:
-        space = VectorSpace(PrimeField(p), 1)
+        space = VectorSpace(p, 1)
         for x in range(p):
             total = sum(space.chi_table[x * t % p] for t in range(p))
             expect = p if x == 0 else 0
@@ -113,27 +134,27 @@ def test_character_orthogonality():
 
 
 def test_chi_table_read_only():
-    space = VectorSpace(PrimeField(5), 1)
+    space = VectorSpace(5, 1)
     with pytest.raises(ValueError):
         space.chi_table[0] = 0
 
 
 def test_point_cap_enforced():
     with pytest.raises(ValueError, match="max_points"):
-        VectorSpace(PrimeField(5), 20)
+        VectorSpace(5, 20)
     # explicit override admits the same space
-    big = VectorSpace(PrimeField(5), 11, max_points=5 ** 11)
+    big = VectorSpace(5, 11, max_points=5 ** 11)
     assert big.size == 5 ** 11
     assert DEFAULT_POINT_CAP == 2 ** 24
     # a huge d is rejected without evaluating p^d
     with pytest.raises(ValueError, match="max_points"):
-        VectorSpace(PrimeField(3), 10 ** 15)
+        VectorSpace(3, 10 ** 15)
 
 
 def test_space_equality_and_hash():
-    a = VectorSpace(PrimeField(7), 2)
-    b = VectorSpace(PrimeField(7), 2)
-    c = VectorSpace(PrimeField(7), 3)
+    a = VectorSpace(7, 2)
+    b = VectorSpace(7, 2)
+    c = VectorSpace(7, 3)
     assert a == b and hash(a) == hash(b)
     assert a != c
 
@@ -143,6 +164,6 @@ def test_space_equality_and_hash():
        st.integers(0, 10 ** 6))
 def test_decode_encode_roundtrip_property(shape, raw):
     p, d = shape
-    space = VectorSpace(PrimeField(p), d)
+    space = VectorSpace(p, d)
     idx = raw % space.size
     assert space.encode(space.decode(idx)) == idx

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffrestrict.field import PrimeField, VectorSpace
+from ffrestrict.field import VectorSpace
 from ffrestrict.ensembles import hamming_variety, sphere
 from ffrestrict.spectral import random_function
 from ffrestrict.salem import profile
@@ -17,7 +17,7 @@ from ffrestrict import families, rationals, reports
 
 
 def _space(p, d):
-    return VectorSpace(PrimeField(p), d)
+    return VectorSpace(p, d)
 
 
 # ------------------------------------------------------------ set files
@@ -43,7 +43,7 @@ def test_set_file_layout():
     assert header["family"] == "sphere"
     indices = [int(x) for x in lines[1:]]
     assert indices == sorted(indices)
-    assert indices == list(e.indices())
+    assert indices == list(e.support_indices())
 
 
 @pytest.mark.parametrize("text", [

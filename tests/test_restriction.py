@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ffrestrict.field import PrimeField, VectorSpace
+from ffrestrict.field import VectorSpace
 from ffrestrict.ensembles import (
     hamming_variety,
     sidon_parabola,
@@ -34,7 +34,7 @@ from ffrestrict.rationals import Pieces
 
 
 def _space(p, d):
-    return VectorSpace(PrimeField(p), d)
+    return VectorSpace(p, d)
 
 
 rationals = st.fractions(min_value=Fraction(1, 32), max_value=100,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ffrestrict import spectral, verify
-from ffrestrict.field import PrimeField, VectorSpace
+from ffrestrict.field import VectorSpace
 from ffrestrict.ensembles import (
     PointSet,
     full_space,
@@ -31,7 +31,7 @@ from ffrestrict import families
 
 
 def _space(p, d):
-    return VectorSpace(PrimeField(p), d)
+    return VectorSpace(p, d)
 
 
 # ------------------------------------------------------------ profiles

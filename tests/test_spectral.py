@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffrestrict.ensembles import PointSet, hamming_variety, surface_measure
 from ffrestrict import verify
-from ffrestrict.field import PrimeField, VectorSpace
+from ffrestrict.field import VectorSpace
 from ffrestrict.spectral import (
     FFMeasure,
     GridFunction,
@@ -29,8 +29,8 @@ from ffrestrict.spectral import (
 
 def _space(p, d, cap=None):
     if cap is None:
-        return VectorSpace(PrimeField(p), d)
-    return VectorSpace(PrimeField(p), d, max_points=cap)
+        return VectorSpace(p, d)
+    return VectorSpace(p, d, max_points=cap)
 
 
 def _dirac(space, index):
