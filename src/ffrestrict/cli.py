@@ -40,7 +40,11 @@ class ConfigError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route through ConfigError
-    # so invalid configs uniformly exit 1
+    # so invalid configs uniformly exit 1.  A flag is never read as an
+    # abbreviation of another, so `--p` is not taken for `--percent`.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         raise ConfigError([message])
 
@@ -496,7 +500,8 @@ def main(argv: list[str] | None = None) -> int:
         for msg in exc.messages:
             print(f"  - {msg}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, OSError, RuntimeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, RuntimeError,
+            MemoryError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
 

@@ -252,7 +252,8 @@ _register(FamilySpec(
     dimension=lambda prm: prm["d"],
     rules=((lambda prm: prm["d"] >= 1, "need d >= 1"),
            (lambda prm: 0 < prm["percent"] <= 100,
-            "percent must lie in (0, 100]")),
+            "percent must lie in (0, 100]"),
+           (lambda prm: prm["seed"] >= 0, "seed must be >= 0")),
     construct=lambda prm, space: random_set(
         space, prm["percent"], prm["seed"]),
 ))

@@ -13,9 +13,11 @@ inputs are rational:
 with beta_p = 2 alpha s linking the last two.  Operator norms of the
 extension map A f = (f mu)^ from L^2(mu) to L^q are reported as certified
 lower bounds only: each bound is re-evaluated from a stored witness.
-The bounds come from a multistart power ascent that moves all of its
-starts together, as the rows of one block, with one forward and one
-inverse transform of the block per step.
+The bounds come from a multistart power ascent that moves its starts
+together, as the rows of a block, with one forward and one inverse
+transform of the block per step; a block holds at most
+DEFAULT_POINT_CAP // p^d rows (at least one), so its memory stays that
+of a single transform at the point cap.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import spectral
 from .ensembles import PointSet, SetDescriptor, surface_measure
+from .field import DEFAULT_POINT_CAP
 from .rationals import Exact, Pieces, exact, is_inf
 from .spectral import (
     FFMeasure,
@@ -231,6 +234,8 @@ class PowerIterConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # the ascent starts from a Dirac mass at each of the first support points
@@ -250,29 +255,33 @@ class ExtensionNormEstimate:
     witness: GridFunction
 
 
-def _starts(mu: FFMeasure, cfg: PowerIterConfig
-            ) -> tuple[list[str], np.ndarray]:
-    """The multistart block, one start per row and zero off the support:
-    constant, Dirac at the first <= DIRAC_STARTS support points,
-    indicator-minus-dirac (the indicator with its value at index 0
-    removed), and cfg.random_starts seeded complex normals."""
+def _starts(mu: FFMeasure, cfg: PowerIterConfig, first: int = 0,
+            stop: int | None = None) -> tuple[list[str], np.ndarray]:
+    """The tags of every start, and rows first..stop-1 of the multistart
+    block, one start per row and zero off the support: constant, Dirac
+    at the first <= DIRAC_STARTS support points, indicator-minus-dirac
+    (the indicator with its value at index 0 removed), and
+    cfg.random_starts seeded complex normals."""
     n = mu.space.size
     support = mu.support_indices()
     diracs = support[:DIRAC_STARTS]
     tags = ["constant", *(f"dirac:{int(i)}" for i in diracs),
             "indicator-minus-dirac",
             *(f"random:{i}" for i in range(cfg.random_starts))]
-    block = np.zeros((len(tags), n), dtype=np.complex128)
-    block[0, support] = 1.0
-    block[np.arange(1, len(diracs) + 1), diracs] = 1.0
     ind = len(diracs) + 1
-    block[ind, support] = 1.0
-    block[ind, 0] = 0.0
-    for i in range(cfg.random_starts):
-        rng = np.random.default_rng((cfg.seed, i))
-        row = block[ind + 1 + i]
-        row.real = rng.standard_normal(n)
-        row.imag = rng.standard_normal(n)
+    rows = range(len(tags))[first:stop]
+    block = np.zeros((len(rows), n), dtype=np.complex128)
+    for row, i in zip(block, rows):
+        if i in (0, ind):
+            row[support] = 1.0
+            if i == ind:
+                row[0] = 0.0
+        elif i < ind:
+            row[diracs[i - 1]] = 1.0
+        else:
+            rng = np.random.default_rng((cfg.seed, i - ind - 1))
+            row.real = rng.standard_normal(n)
+            row.imag = rng.standard_normal(n)
     block[:, mu.weights == 0] = 0.0
     return tags, block
 
@@ -366,8 +375,9 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
                                config: PowerIterConfig | None = None
                                ) -> ExtensionNormEstimate:
     """Best certified lower bound on ||A||_{L^2(mu) -> L^q} over a
-    multistart ascent (`_starts`), all starts ascended together as one
-    block (`_ascend`).
+    multistart ascent (`_starts`), the starts ascended together in
+    consecutive blocks (`_ascend`) of at most DEFAULT_POINT_CAP // p^d
+    rows, each block built only when it is ascended.
 
     Maximizing ||A f||_q on the L^2(mu) sphere is nonconvex for q > 2, so
     the result is a lower bound, not the norm.  Deterministic given
@@ -381,12 +391,20 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
     if not mu.weights.any():
         raise ValueError("measure has empty support")
 
-    tags, block = _starts(mu, cfg)
-    values, witnesses, iterations, converged = _ascend(mu, block, q, cfg)
-    # the first of the largest values: ties break by start order
-    best_i = int(np.argmax(values))
-    value = float(values[best_i])
-    witness = GridFunction._adopt(mu.space, witnesses[best_i].copy())
+    tags, _ = _starts(mu, cfg, 0, 0)
+    rows = max(1, DEFAULT_POINT_CAP // mu.space.size)
+    best = None
+    for first in range(0, len(tags), rows):
+        _, block = _starts(mu, cfg, first, first + rows)
+        values, witnesses, iterations, converged = _ascend(mu, block, q, cfg)
+        # the first of the largest values: ties break by start order
+        i = int(np.argmax(values))
+        if best is None or values[i] > best[0]:
+            best = (float(values[i]), first + i, witnesses[i].copy(),
+                    int(iterations[i]), bool(converged[i]))
+        del block, witnesses  # freed before the next block is built
+    value, best_i, best_witness, best_iterations, best_converged = best
+    witness = GridFunction._adopt(mu.space, best_witness)
     # certify from the stored witness, not from iteration state
     certified = witness_ratio(witness, mu, q)
     if abs(certified - value) > 1e-9 * max(1.0, value):
@@ -394,8 +412,7 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
             f"certification mismatch: iterate value {value}, "
             f"re-evaluated {certified}")
     return ExtensionNormEstimate(float(q), certified, tags[best_i],
-                                 int(iterations[best_i]),
-                                 bool(converged[best_i]), witness)
+                                 best_iterations, best_converged, witness)
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,64 @@ def test_bad_power_iteration_flag_is_config_error(tmp_path, capsys, command,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, messages", [
+    (["build-set", "--family", "random", "--p", "5", "--seed", "-1"],
+     ["seed must be >= 0"]),
+    (["salem-profile", "--family", "random", "--p", "5", "--seed", "-1"],
+     ["seed must be >= 0"]),
+    (["ext-norm", "--family", "sphere", "--p", "5", "--q", "4",
+      "--seed", "-1"], ["seed must be >= 0, got -1"]),
+    (["sweep", "--family", "hamming", "--q", "4",
+      "--field-sizes", "5,7,11,13", "--seed", "-2"],
+     ["seed must be >= 0, got -2"]),
+    (["ext-norm", "--family", "sphere", "--p", "4", "--q", "1",
+      "--seed", "-1"], ["field size 4 is not prime",
+                        "q must lie in [2, inf), got 1.0",
+                        "seed must be >= 0, got -1"]),
+], ids=["build-set", "salem-profile", "ext-norm", "sweep", "with-others"])
+def test_negative_seed_is_config_error(tmp_path, capsys, argv, messages):
+    code, stdout, err = run_cli(argv + ["--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err
+    assert all(f"  - {msg}\n" in err for msg in messages)
+    assert "Traceback" not in err and "computation error" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--family", "random", "--p", "5", "--q", "4",
+      "--field-sizes", "5,7,11,13"], "unrecognized arguments: --p 5"),
+    (["build-set", "--family", "hamming", "--p", "5", "--max-point",
+      "100"], "unrecognized arguments: --max-point 100"),
+    (["salem-fit", "--family", "hamming", "--field-size", "5,7,11,13"],
+     "unrecognized arguments: --field-size 5,7,11,13"),
+    # nor does the top-level parser read --conf as --config
+    (["--conf", "x.cfg", "exponents", "--family", "hamming"],
+     "invalid choice: 'x.cfg'"),
+], ids=["sweep-p-for-percent", "max-point", "field-size", "top-level"])
+def test_abbreviated_flag_is_config_error(tmp_path, capsys, argv, message):
+    code, stdout, err = run_cli(argv + ["--out", str(tmp_path / "x")],
+                                capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "invalid config" in err and message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_memory_error_is_computation_error(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.87 GiB")
+
+    monkeypatch.setattr(cli, "extension_norm_lower_bound", exhausted)
+    code, stdout, err = run_cli(["ext-norm", "--family", "sphere",
+                                 "--p", "5", "--q", "4"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == "computation error: Unable to allocate 1.87 GiB\n"
+
+
 def test_bad_power_iteration_flag_is_reported_with_other_errors(capsys):
     code, _, err = run_cli(["sweep", "--family", "hamming", "--q", "1",
                             "--field-sizes", "4,5,7,11", "--starts", "-1"],

@@ -84,6 +84,10 @@ FAILING = {
     "transform-header-p-too-large": (1, ["transform", "--in",
                                          "inputs/header-p-too-large.csv"]),
     "transform-header-d0": (1, ["transform", "--in", "inputs/header-d0.csv"]),
+    "sweep-abbreviated-flag": (1, ["sweep", "--family", "random", "--p", "5",
+                                   "--q", "4", "--field-sizes", "5,7,11,13"]),
+    "build-set-seed-negative": (1, ["build-set", "--family", "random",
+                                    "--p", "5", "--seed", "-1"]),
 }
 
 

@@ -29,7 +29,7 @@ from ffrestrict.restriction import (
     salem_threshold,
     witness_ratio,
 )
-from ffrestrict import families, restriction, verify
+from ffrestrict import families, restriction, spectral, verify
 from ffrestrict.rationals import Pieces
 
 
@@ -409,12 +409,13 @@ def test_lower_bound_rejects_bad_q():
     ({"tol": -1e-8}, "tol must be finite and > 0"),
     ({"tol": math.nan}, "tol must be finite and > 0"),
     ({"tol": math.inf}, "tol must be finite and > 0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_power_iter_config_rejects_broken_rules(kwargs, message):
     with pytest.raises(ValueError, match=message):
         PowerIterConfig(**kwargs)
-    # the edges are allowed: no random start, and a single step
-    assert PowerIterConfig(random_starts=0, max_iter=1).max_iter == 1
+    # the edges are allowed: no random start, a single step, seed 0
+    assert PowerIterConfig(random_starts=0, max_iter=1, seed=0).max_iter == 1
 
 
 # ------------------------------------------------------ batched ascent
@@ -436,6 +437,46 @@ def test_ascent_rows_match_each_start_ascended_alone(family, params, p, q):
         alone = restriction._ascend(mu, starts[i:i + 1], q, cfg)
         for got, want in zip(batch, alone):
             assert got[i:i + 1].tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("family, params, p, q", [
+    ("hamming", {"d": 2}, 11, 3.0),
+    ("hamming", {"d": 2}, 11, 6.0),
+    ("sphere", {"k": 2}, 7, 4.0),
+], ids=["hamming-q3", "hamming-q6", "sphere-q4"])
+def test_ascent_blocks_stay_under_the_point_cap(monkeypatch, family, params,
+                                                p, q):
+    # at a cap of 2 p^d the 26 starts are ascended two rows at a time,
+    # and the estimate is the one-block estimate bit for bit
+    mu = surface_measure(families.builder(family, params)(p))
+    want = extension_norm_lower_bound(mu, q)
+    rows = []
+    transform = spectral._transform
+
+    def counted(space, values, sign):
+        rows.append(len(values) if values.ndim == 2 else 1)
+        return transform(space, values, sign)
+
+    monkeypatch.setattr(restriction, "DEFAULT_POINT_CAP", 2 * mu.space.size)
+    monkeypatch.setattr(spectral, "_transform", counted)
+    got = extension_norm_lower_bound(mu, q)
+    assert max(rows) == 2
+    assert got.lower_bound.hex() == want.lower_bound.hex()
+    assert (got.witness_tag, got.iterations, got.converged) == (
+        want.witness_tag, want.iterations, want.converged)
+    assert got.witness.values.tobytes() == want.witness.values.tobytes()
+
+
+def test_ascent_starts_are_built_block_by_block():
+    mu = surface_measure(families.builder("sphere", {"k": 2})(7))
+    cfg = PowerIterConfig(random_starts=3, seed=4)
+    tags, whole = restriction._starts(mu, cfg)
+    assert len(whole) == len(tags)
+    for first in range(len(tags)):
+        for stop in range(first, len(tags) + 1):
+            same, block = restriction._starts(mu, cfg, first, stop)
+            assert same == tags
+            assert block.tobytes() == whole[first:stop].tobytes()
 
 
 @pytest.mark.parametrize("family", ["sidon-parabola", "sidon-embedded"])
