@@ -7,10 +7,21 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+NUMPY_VERSION = ROOT / "tests" / "golden" / "numpy-version.txt"
+
+
+def numpy_note() -> str:
+    """The numpy that wrote the golden corpus and the one running: a
+    numpy upgrade can move the last digit of an FFT, and a byte diff
+    should say so."""
+    return (f"golden corpus written under numpy "
+            f"{NUMPY_VERSION.read_text().strip()}, running numpy "
+            f"{np.__version__}")
 
 
 def demo_golden(demo: pathlib.Path) -> pathlib.Path:
@@ -32,4 +43,4 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, stderr
     assert "Traceback" not in stderr
     assert proc.stdout
-    assert proc.stdout == demo_golden(demo).read_bytes()
+    assert proc.stdout == demo_golden(demo).read_bytes(), numpy_note()

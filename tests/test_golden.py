@@ -12,7 +12,9 @@ To rewrite the files after an intended change, run
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and list the moved lines in CHANGES.md.
+and list the moved lines in CHANGES.md.  The script also records the
+numpy version in `tests/golden/numpy-version.txt`, and a failed
+comparison names it next to the running one.
 """
 
 import contextlib
@@ -20,7 +22,9 @@ import io
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+from test_demos import DEMOS, NUMPY_VERSION, demo_golden, numpy_note, run_demo
 
 from ffrestrict import cli
 
@@ -53,6 +57,17 @@ COMMANDS = {
                                  *FIT_SIZES],
     "salem-fit-zero-sphere-product": ["salem-fit", "--family",
                                       "zero-sphere-product", *FIT_SIZES],
+    "salem-fit-cutoff-cylinder": ["salem-fit", "--family", "cutoff-cylinder",
+                                  *FIT_SIZES],
+    "salem-fit-random": ["salem-fit", "--family", "random", "--seed", "2",
+                         *FIT_SIZES],
+    # the set with no product structure that the large-p benchmark fits
+    "salem-fit-hamming-d2": ["salem-fit", "--family", "hamming", "--d", "2",
+                             "--field-sizes", "5,7,11,13"],
+    # p = 2, where the frequency p/2 is its own mirror
+    "salem-profile-random-d3-p2": ["salem-profile", "--family", "random",
+                                   "--d", "3", "--p", "2", "--seed", "2",
+                                   *PROFILE_GRID],
     "transform-f5x2": ["transform", "--in", "inputs/f5x2.csv"],
     "transform-inverse-f5x2": ["transform", "--in", "inputs/f5x2.csv",
                                "--inverse"],
@@ -103,7 +118,7 @@ def run(argv: list[str]) -> tuple[int, bytes, bytes]:
 def test_cli_output_matches_golden_bytes(name):
     code, out, _ = run(COMMANDS[name])
     assert code == 0
-    assert out == (GOLDEN / f"{name}.txt").read_bytes()
+    assert out == (GOLDEN / f"{name}.txt").read_bytes(), numpy_note()
 
 
 @pytest.mark.parametrize("name", sorted(FAILING))
@@ -112,12 +127,13 @@ def test_cli_failure_matches_golden_exit_code_and_stderr(name):
     code, out, err = run(argv)
     assert code == want_code
     assert out == b""
-    assert err == (GOLDEN / f"{name}.txt").read_bytes()
+    assert err == (GOLDEN / f"{name}.txt").read_bytes(), numpy_note()
 
 
 if __name__ == "__main__":
-    from test_demos import DEMOS, demo_golden, run_demo
     GOLDEN.mkdir(exist_ok=True)
+    NUMPY_VERSION.write_text(f"{np.__version__}\n")
+    print(f"wrote {NUMPY_VERSION.name} (numpy {np.__version__})")
     for name, argv in COMMANDS.items():
         code, out, _ = run(argv)
         if code != 0:
