@@ -175,13 +175,19 @@ class SpaceArray:
         return obj
 
     def _own(self, space: VectorSpace, arr: np.ndarray) -> None:
-        if arr.shape != (space.size,):
-            raise ValueError(f"expected {space.size} {self._noun} for "
+        n = self._length(space)
+        if arr.shape != (n,):
+            raise ValueError(f"expected {n} {self._noun} for "
                              f"{space}, got shape {arr.shape}")
         self._check(arr)
         arr.setflags(write=False)
         self._space = space
         self._array = arr
+
+    @staticmethod
+    def _length(space: VectorSpace) -> int:
+        """How many entries the array holds: one per point by default."""
+        return space.size
 
     def _check(self, arr: np.ndarray) -> None:
         """The subclass's own checks on an array of the right shape."""
@@ -189,6 +195,10 @@ class SpaceArray:
     @property
     def space(self) -> VectorSpace:
         return self._space
+
+    def __len__(self) -> int:
+        """The number of points of the space, p^d."""
+        return self._space.size
 
     def support_indices(self) -> np.ndarray:
         """Flat indices of the nonzero entries, ascending."""

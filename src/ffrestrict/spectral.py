@@ -11,6 +11,17 @@ The normalized p-average of a transform excludes the zero frequency:
 
     ||mu^||_p   = (p^-d sum_{xi != 0} |mu^(xi)|^p)^(1/p)
     ||mu^||_inf = sup_{xi != 0} |mu^(xi)|
+
+A measure is real, so mu^(-xi) = conj mu^(xi) and half of its transform
+repeats the other half.  `fourier_forward` keeps a measure's transform
+as its half spectrum: the frequencies whose coordinate 0 is k <= p/2,
+from np.fft.rfft along that axis.  In the p-average an entry with
+0 < k < p/2 stands for xi and its mirror -xi, and has weight 2; k = 0
+and, at p = 2, k = p/2 = 1 are their own mirrors and have weight 1.
+The zero frequency is the half spectrum's index 0, as it is the full
+transform's, so it is still masked by index: subtracting its term
+(mu^(0) = 1) from a power sum would cancel every digit of a norm that
+is small against 1.
 """
 
 from __future__ import annotations
@@ -36,8 +47,32 @@ class GridFunction(SpaceArray):
     def values(self) -> np.ndarray:
         return self._array
 
-    def __len__(self) -> int:
-        return self._space.size
+
+class HalfSpectrum(SpaceArray):
+    """The transform of a real function on F_p^d at the frequencies whose
+    coordinate 0 is k <= p/2; the others are their conjugate mirrors.
+
+    Stored by flat index of the (p,)*(d-1) + (p//2 + 1,) cube whose last
+    axis is coordinate 0: the full transform's cube cut at k = p//2.
+    """
+
+    _dtype = np.complex128
+    _noun = "half-spectrum values"
+    _check = GridFunction._check
+
+    @staticmethod
+    def _length(space: VectorSpace) -> int:
+        return space.size // space.p * (space.p // 2 + 1)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._array
+
+    def mirrored(self, entries: np.ndarray) -> np.ndarray:
+        """The view of entries, laid out like values, at 0 < k < p/2:
+        each stands for its frequency and that frequency's mirror."""
+        p = self.space.p
+        return entries.reshape(-1, p // 2 + 1)[:, 1:(p + 1) // 2]
 
 
 class FFMeasure(SpaceArray):
@@ -96,8 +131,26 @@ def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def fourier_forward(f: GridFunction) -> GridFunction:
-    """f^(xi) = sum_x f(x) chi(-xi.x)."""
+def _half_transform(space: VectorSpace, weights: np.ndarray) -> np.ndarray:
+    """sum_x f(x) chi(-xi.x) for real f, on the half spectrum: np.fft.rfft
+    along the last cube axis (coordinate 0), then fft in place along the
+    others."""
+    d = space.dimension
+    out = np.fft.rfft(weights.reshape((space.p,) * d), axis=-1)
+    for ax in range(2, d + 1):
+        np.fft.fft(out, axis=-ax, out=out)
+    return out.reshape(-1)
+
+
+def fourier_forward(f: GridFunction | FFMeasure) -> GridFunction | HalfSpectrum:
+    """f^(xi) = sum_x f(x) chi(-xi.x).
+
+    A measure is transformed straight from its float64 weights to its
+    half spectrum; a complex function to its full transform.
+    """
+    if isinstance(f, FFMeasure):
+        return HalfSpectrum._adopt(f.space, _half_transform(f.space,
+                                                            f.weights))
     return GridFunction._adopt(f.space, _transform(f.space, f.values, -1))
 
 
@@ -176,7 +229,13 @@ def _fold(total: float, a: float, top_r: float) -> float:
     return total + a + top_r * total * a
 
 
-def lp_average_norm(mhat: GridFunction | tuple[GridFunction, ...],
+Spectrum = GridFunction | HalfSpectrum
+
+# the weight of a half-spectrum entry that also stands for its mirror
+_HERMITIAN_WEIGHT = 2.0
+
+
+def lp_average_norm(mhat: Spectrum | tuple[Spectrum, ...],
                     p_exp: float) -> float:
     """||mu^||_p over nonzero frequencies, normalized by p^-d.
 
@@ -184,6 +243,8 @@ def lp_average_norm(mhat: GridFunction | tuple[GridFunction, ...],
     mu = mu_1 x ... x mu_k, each with mu_i^(0) = 1.  Then
     mu^(xi) = prod_i mu_i^(xi_i), so the sup over xi != 0 is the largest
     factor sup M, and the power sums fold factor by factor (`_fold`).
+    Each transform is full (every entry has weight 1) or a half spectrum
+    (an entry that stands for its mirror has weight 2).
 
     The xi = 0 term is excluded by masking the zero index, never by
     subtracting from a power sum.  The sup M is factored out before
@@ -192,7 +253,7 @@ def lp_average_norm(mhat: GridFunction | tuple[GridFunction, ...],
     """
     if p_exp != math.inf and p_exp < 1:
         raise ValueError(f"p_exp must be >= 1 or inf, got {p_exp}")
-    parts = (mhat,) if isinstance(mhat, GridFunction) else tuple(mhat)
+    parts = (mhat,) if isinstance(mhat, Spectrum) else tuple(mhat)
     if not parts:
         raise ValueError("lp_average_norm needs at least one transform")
     mags = [np.abs(part.values) for part in parts]
@@ -207,6 +268,8 @@ def lp_average_norm(mhat: GridFunction | tuple[GridFunction, ...],
     for m, part in zip(mags, parts):
         m /= top
         np.power(m, p_exp, out=m)
+        if isinstance(part, HalfSpectrum):
+            part.mirrored(m)[...] *= _HERMITIAN_WEIGHT
         a = np.sum(m)
         total = a if total is None else _fold(total, a, top_r)
         size *= part.space.size
