@@ -95,16 +95,19 @@ def _family_params(args: argparse.Namespace, errors: list[str]) -> dict:
     """The family's resolved parameters, from every family flag given, so
     `resolve_params` rejects a flag the family does not take.  ext-norm
     and sweep read --seed (default 0) for the power iteration too, so
-    there it reaches only a family that takes a seed.  Problems land in
-    `errors` so they can be reported together."""
+    there it reaches only a family that takes a seed, and only when the
+    power iteration accepts it: a negative seed is reported once.
+    Problems land in `errors` so they can be reported together."""
     try:
         spec = families.get(args.family)
     except ValueError as exc:
         errors.append(str(exc))
         return {}
     given = {key: getattr(args, key) for key, _ in _FAMILY_FLAGS}
-    if not hasattr(args, "starts") or "seed" in dict(spec.param_defaults):
+    if not hasattr(args, "starts"):
         given["seed"] = getattr(args, "seed", None)
+    elif "seed" in dict(spec.param_defaults) and args.seed >= 0:
+        given["seed"] = args.seed
     try:
         return spec.resolve_params(given)
     except ValueError as exc:

@@ -103,6 +103,8 @@ FAILING = {
                                    "--q", "4", "--field-sizes", "5,7,11,13"]),
     "build-set-seed-negative": (1, ["build-set", "--family", "random",
                                     "--p", "5", "--seed", "-1"]),
+    "ext-norm-seed-negative": (1, ["ext-norm", "--family", "random",
+                                   "--p", "5", "--q", "4", "--seed", "-1"]),
 }
 
 
