@@ -210,8 +210,33 @@ def _suite_hamming() -> list[CheckResult]:
     return out
 
 
+PRODUCT_GRID = (1.0, 2.0, 4.0, 6.0, 8.0, 64.0, math.inf)
+
+# (family, params, field sizes) for the half-spectrum oracle; p = 2 is
+# the one size with no entry that stands for its mirror
+HALF_CASES = (
+    ("hamming", {"d": 2}, (5, 7, 11)),
+    ("hamming", {"d": 3}, (5, 7, 11)),
+    ("random", {"d": 3, "seed": 2}, (2, 3)),
+    ("sphere", {"k": 2}, (3, 5, 7)),
+)
+
+
 def _suite_salem() -> list[CheckResult]:
     out = []
+    for name, params, sizes in HALF_CASES:
+        build = families.builder(name, params)
+        for p in sizes:
+            e = build(p)
+            full = fourier_forward(surface_measure(e).as_grid())
+            want = [lp_average_norm(full, pe) for pe in PRODUCT_GRID]
+            got = profile(e, PRODUCT_GRID).entries
+            errs = [abs(g - w) / w for (_, g), w in zip(got, want)]
+            label = "".join(f" {k}={v}" for k, v in params.items())
+            out.append(CheckResult(
+                "salem", f"{name}{label} p={p} half spectrum vs full",
+                all(err <= 1e-12 for err in errs),
+                f"rel err = {max(errs):.2e}"))
     rng = np.random.default_rng(7)
     for trial in range(6):
         p = int(rng.choice((5, 7, 11)))
@@ -248,7 +273,6 @@ PRODUCT_CASES = (
     ("zero-sphere-product", {}, (3, 5)),
     ("sidon-embedded", {}, (3, 5, 7)),
 )
-PRODUCT_GRID = (1.0, 2.0, 4.0, 6.0, 8.0, 64.0, math.inf)
 
 
 def _suite_products() -> list[CheckResult]:

@@ -84,9 +84,11 @@ def test_fit_recovers_hamming_exponent():
     assert fit.stderr < 0.05
 
 
-def test_fit_frees_the_measure_before_transforming():
-    # the largest cell holds its complex input and output (2 x 16 B per
-    # point); a float64 measure still alive would add another 0.5 x
+def test_fit_transforms_the_measure_without_a_complex_copy():
+    # the largest cell holds its float64 measure (8 B per point), its
+    # half spectrum (16 B per entry, about 8 B per point) and the
+    # magnitudes (about 4 B per point); a complex copy of the measure
+    # and its full transform would take 32 B per point
     build = families.builder("hamming", {"d": 4})
     tracemalloc.start()
     try:
@@ -94,7 +96,39 @@ def test_fit_frees_the_measure_before_transforming():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * 16 * 31 ** 4
+    assert peak <= 1.5 * 16 * 31 ** 4
+
+
+@pytest.mark.parametrize(
+    "name, params, sizes", verify.HALF_CASES,
+    ids=[name + "".join(f"-{k}{v}" for k, v in prm.items())
+         for name, prm, _ in verify.HALF_CASES])
+def test_half_spectrum_profile_matches_the_full_route(name, params, sizes):
+    # the oracle: the measure's complex copy through the full transform
+    build = families.builder(name, params)
+    for p in sizes:
+        e = build(p)
+        full = fourier_forward(surface_measure(e).as_grid())
+        for pe, got in profile(e, verify.PRODUCT_GRID).entries:
+            want = lp_average_norm(full, pe)
+            assert abs(got - want) <= 1e-12 * want, (name, p, pe)
+
+
+def test_half_spectrum_oracle_catches_a_unit_mirror_weight(monkeypatch):
+    # count each entry 0 < k < p/2 once instead of once per mirror: the
+    # half spectrum then drops almost half of every power sum, except at
+    # p = 2, where no entry has a mirror
+    monkeypatch.setattr(spectral, "_HERMITIAN_WEIGHT", 1.0)
+    results = [r for r in verify.run_suites(["salem"])
+               if r.name.endswith("half spectrum vs full")]
+    assert [r.passed for r in results] == [
+        p == 2 for _, _, sizes in verify.HALF_CASES for p in sizes]
+    lhs, rhs = universal_l2_identity(hamming_variety(_space(5, 2), 1))
+    assert abs(lhs - rhs) > 1e-12
+    monkeypatch.undo()
+    lhs, rhs = universal_l2_identity(hamming_variety(_space(5, 2), 1))
+    assert abs(lhs - rhs) <= 1e-12
+    assert verify.mutation_check().detail == "14 checks failed under fault"
 
 
 @pytest.mark.parametrize(

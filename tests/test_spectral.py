@@ -14,6 +14,7 @@ from ffrestrict.field import VectorSpace
 from ffrestrict.spectral import (
     FFMeasure,
     GridFunction,
+    HalfSpectrum,
     convolve,
     dft_reference,
     fourier_forward,
@@ -143,6 +144,23 @@ def test_transforms_match_defining_sum_d2_above_64():
     conj_f = GridFunction(space, f.values.conj())
     want_inv = dft_reference(conj_f, max_points=space.size).values.conj()
     assert _rel_err(fourier_inverse(f).values, want_inv) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_half_spectrum_entries_match_defining_sum(p, d):
+    # a real measure keeps the frequencies whose coordinate 0 is <= p/2,
+    # the last axis of the full transform's cube cut at p // 2
+    space = _space(p, d)
+    w = np.random.default_rng(10 * p + d).random(space.size)
+    mu = FFMeasure(space, w / w.sum())
+    half = fourier_forward(mu)
+    assert isinstance(half, HalfSpectrum)
+    assert len(half) == space.size
+    want = dft_reference(mu.as_grid()).values.reshape((p,) * d)
+    want = want[..., :p // 2 + 1].reshape(-1)
+    assert half.values.shape == want.shape
+    assert np.max(np.abs(half.values - want)) <= 1e-12
 
 
 def test_character_sign_fault_is_undone_on_exit():
@@ -291,6 +309,10 @@ def test_adopted_arrays_are_checked_like_public_ones():
         FFMeasure._adopt(space, np.full(5, 0.1))
     with pytest.raises(ValueError):
         PointSet._adopt(space, np.ones(4, dtype=bool))
+    with pytest.raises(ValueError):
+        HalfSpectrum._adopt(space, np.full(3, np.nan, dtype=complex))
+    with pytest.raises(ValueError):
+        HalfSpectrum._adopt(space, np.zeros(5, dtype=complex))
 
 
 def test_package_made_arrays_are_frozen():
@@ -298,7 +320,7 @@ def test_package_made_arrays_are_frozen():
     mu = surface_measure(e)
     f = random_function(e.space, seed=3)
     for arr in (fourier_forward(f).values, fourier_inverse(f).values,
-                mu.as_grid().values, mu.weights):
+                mu.as_grid().values, mu.weights, fourier_forward(mu).values):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
