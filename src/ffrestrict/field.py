@@ -197,7 +197,8 @@ class SpaceArray:
         return self._space
 
     def __len__(self) -> int:
-        """The number of points of the space, p^d."""
+        """The number of points of the space, p^d, whatever the array
+        holds: a PointSet's own size is its `cardinality`."""
         return self._space.size
 
     def support_indices(self) -> np.ndarray:

@@ -20,8 +20,8 @@ from np.fft.rfft along that axis.  In the p-average an entry with
 and, at p = 2, k = p/2 = 1 are their own mirrors and have weight 1.
 The zero frequency is the half spectrum's index 0, as it is the full
 transform's, so it is still masked by index: subtracting its term
-(mu^(0) = 1) from a power sum would cancel every digit of a norm that
-is small against 1.
+|mu^(0)|^p = 1 from a power sum whose other terms are small against 1
+would cancel their digits.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ class HalfSpectrum(SpaceArray):
         each stands for its frequency and that frequency's mirror."""
         p = self.space.p
         return entries.reshape(-1, p // 2 + 1)[:, 1:(p + 1) // 2]
+
+
+Spectrum = GridFunction | HalfSpectrum
 
 
 class FFMeasure(SpaceArray):
@@ -142,7 +145,7 @@ def _half_transform(space: VectorSpace, weights: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def fourier_forward(f: GridFunction | FFMeasure) -> GridFunction | HalfSpectrum:
+def fourier_forward(f: GridFunction | FFMeasure) -> Spectrum:
     """f^(xi) = sum_x f(x) chi(-xi.x).
 
     A measure is transformed straight from its float64 weights to its
@@ -228,8 +231,6 @@ def _fold(total: float, a: float, top_r: float) -> float:
     cancel."""
     return total + a + top_r * total * a
 
-
-Spectrum = GridFunction | HalfSpectrum
 
 # the weight of a half-spectrum entry that also stands for its mirror
 _HERMITIAN_WEIGHT = 2.0

@@ -471,7 +471,13 @@ def test_bad_power_iteration_flag_is_config_error(tmp_path, capsys, command,
       "--seed", "-1"], ["field size 4 is not prime",
                         "q must lie in [2, inf), got 1.0",
                         "seed must be >= 0, got -1"]),
-], ids=["build-set", "salem-profile", "ext-norm", "sweep", "with-others"])
+    # the power iteration and the family both read the seed; it is
+    # reported once
+    (["sweep", "--family", "random", "--q", "4",
+      "--field-sizes", "5,7,11,13", "--seed", "-1"],
+     ["seed must be >= 0, got -1"]),
+], ids=["build-set", "salem-profile", "ext-norm", "sweep", "with-others",
+        "sweep-random"])
 def test_negative_seed_is_config_error(tmp_path, capsys, argv, messages):
     code, stdout, err = run_cli(argv + ["--out", str(tmp_path / "x")],
                                 capsys)
@@ -479,6 +485,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys, argv, messages):
     assert stdout == ""
     assert "invalid config" in err
     assert all(f"  - {msg}\n" in err for msg in messages)
+    assert err.count("seed must be") == 1
     assert "Traceback" not in err and "computation error" not in err
     assert not (tmp_path / "x").exists()
 
