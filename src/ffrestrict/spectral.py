@@ -152,8 +152,8 @@ def fourier_forward(f: GridFunction | FFMeasure) -> Spectrum:
     half spectrum; a complex function to its full transform.
     """
     if isinstance(f, FFMeasure):
-        return HalfSpectrum._adopt(f.space, _half_transform(f.space,
-                                                            f.weights))
+        half = _half_transform(f.space, f.weights)
+        return HalfSpectrum._adopt(f.space, half)
     return GridFunction._adopt(f.space, _transform(f.space, f.values, -1))
 
 
