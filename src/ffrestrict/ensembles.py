@@ -4,6 +4,7 @@ Sidon sets, cutoff cylinders, and their surface measures."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,13 @@ class SetDescriptor:
 
 
 class PointSet(SpaceArray):
-    """A subset E of F_p^d held as a dense membership bitmap.
+    """A subset E of F_p^d and its dense membership bitmap.
 
     A set built as a product E_1 x ... x E_k keeps its factors, E_1 on
     the low-weight coordinates, so that its spectrum can be read from
-    theirs; any other set is its own single factor.
+    theirs; any other set is its own single factor.  A product built by
+    `_product_on` takes its cardinality from its factors and makes its
+    bitmap from them on first use, then freezes and keeps it.
     """
 
     _dtype = bool
@@ -49,19 +52,47 @@ class PointSet(SpaceArray):
     def _own(self, space: VectorSpace, memb: np.ndarray,
              descriptor: SetDescriptor | None = None,
              factors: tuple["PointSet", ...] = ()) -> None:
-        if factors and (
-                any(f.space.p != space.p for f in factors)
-                or sum(f.space.dimension for f in factors)
-                != space.dimension):
-            raise ValueError(f"factors do not tile {space}")
+        self._tile(space, factors)
         super()._own(space, memb)
         self._cardinality = int(memb.sum())
         self.descriptor = descriptor
         self._factors = factors
 
+    @staticmethod
+    def _tile(space: VectorSpace, factors: tuple["PointSet", ...]) -> None:
+        if factors and (
+                any(f.space.p != space.p for f in factors)
+                or sum(f.space.dimension for f in factors)
+                != space.dimension):
+            raise ValueError(f"factors do not tile {space}")
+
+    @classmethod
+    def _product(cls, space: VectorSpace, factors: tuple["PointSet", ...],
+                 descriptor: SetDescriptor) -> "PointSet":
+        """The product of factors on space, with no bitmap until
+        `membership` is read."""
+        cls._tile(space, factors)
+        obj = cls.__new__(cls)
+        obj._space = space
+        obj._array = None
+        obj._cardinality = _product_cardinality(factors)
+        obj.descriptor = descriptor
+        obj._factors = factors
+        return obj
+
     @property
     def membership(self) -> np.ndarray:
+        if self._array is None:
+            # flat index in a x b is ia + p^da * ib
+            memb = self._factors[0].membership
+            for f in self._factors[1:]:
+                memb = np.outer(f.membership, memb).reshape(-1)
+            memb.setflags(write=False)
+            self._array = memb
         return self._array
+
+    def support_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.membership)
 
     @property
     def cardinality(self) -> int:
@@ -107,16 +138,17 @@ def sphere(space: VectorSpace, r: int) -> PointSet:
                            SetDescriptor.make("sphere", k=space.dimension, r=r))
 
 
+def _product_cardinality(factors: tuple[PointSet, ...]) -> int:
+    """|E_1 x ... x E_k| = |E_1| ... |E_k|, exactly."""
+    return math.prod(f.cardinality for f in factors)
+
+
 def _product_on(space: VectorSpace, parts: tuple[PointSet, ...],
                 descriptor: SetDescriptor) -> PointSet:
     """parts[0] x parts[1] x ... on space, parts[0] on the low-weight
     coordinates; the result keeps the parts' own factors."""
-    # flat index in a x b is ia + p^da * ib
-    memb = parts[0].membership
-    for part in parts[1:]:
-        memb = np.outer(part.membership, memb).reshape(-1)
-    return PointSet._adopt(space, memb, descriptor,
-                           tuple(f for part in parts for f in part.factors))
+    return PointSet._product(
+        space, tuple(f for part in parts for f in part.factors), descriptor)
 
 
 def product(a: PointSet, b: PointSet) -> PointSet:

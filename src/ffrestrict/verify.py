@@ -276,13 +276,15 @@ PRODUCT_CASES = (
 
 
 def _suite_products() -> list[CheckResult]:
-    """The factor route of `profile` against the dense transform of the
-    same membership with its factors forgotten."""
+    """The factor route of `profile`, and the cardinality taken from the
+    factors, against the dense transform and the count of the same
+    membership with its factors forgotten."""
     out = []
     for name, params, sizes in PRODUCT_CASES:
         build = families.builder(name, params)
         for p in sizes:
             e = build(p)
+            count = int(e.membership.sum())
             got = profile(e, PRODUCT_GRID).entries
             want = profile(PointSet(e.space, e.membership),
                            PRODUCT_GRID).entries
@@ -290,9 +292,20 @@ def _suite_products() -> list[CheckResult]:
             label = "".join(f" {k}={v}" for k, v in params.items())
             out.append(CheckResult(
                 "products", f"{name}{label} p={p} vs dense",
-                len(e.factors) > 1 and all(err <= 1e-12 for err in errs),
-                f"{len(e.factors)} factors, rel err = {max(errs):.2e}"))
+                len(e.factors) > 1 and e.cardinality == count
+                and all(err <= 1e-12 for err in errs),
+                f"{len(e.factors)} factors, |E| = {e.cardinality} "
+                f"(dense {count}), rel err = {max(errs):.2e}"))
     return out
+
+
+# (family, params, field size) for the q = 2 identity of the ascent
+Q2_CASES = (
+    ("hamming", {"d": 2}, 7),
+    ("sphere", {"k": 2}, 11),
+    ("sidon-parabola", {}, 5),
+    ("random", {"d": 2}, 5),
+)
 
 
 def _suite_restriction() -> list[CheckResult]:
@@ -354,6 +367,18 @@ def _suite_restriction() -> list[CheckResult]:
           and report.q_mocktao == Fraction(4)
           and report.improvement)
     out.append(CheckResult("restriction", "hamming d=4 thresholds", ok))
+
+    # for the uniform measure on E, ||(f mu)^||_2 = (p^d/|E|)^(1/2)
+    # ||f||_{L^2(mu)} for every f (Plancherel), so the bound is exact
+    for name, params, p in Q2_CASES:
+        e = families.builder(name, params)(p)
+        want = math.sqrt(e.space.size / e.cardinality)
+        got = extension_norm_lower_bound(surface_measure(e), 2.0).lower_bound
+        err = abs(got - want) / want
+        label = "".join(f" {k}={v}" for k, v in params.items())
+        out.append(CheckResult(
+            "restriction", f"q=2 identity {name}{label} p={p}",
+            err <= 1e-12, f"rel err = {err:.2e}"))
 
     e = hamming_variety(VectorSpace(5, 2), 1)
     mu = surface_measure(e)

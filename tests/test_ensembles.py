@@ -140,6 +140,18 @@ def test_product_flat_index_order():
     assert e.cardinality == pa.cardinality * pb.cardinality
 
 
+def test_product_cardinality_is_the_count_of_its_bitmap():
+    products = set()
+    for name in families.names():
+        for p in (3, 5, 7):
+            e = families.builder(name)(p)
+            if len(e.factors) > 1:
+                products.add(name)
+                assert e.cardinality == int(e.membership.sum()), (name, p)
+    assert products == {"cutoff-cylinder", "sidon-embedded",
+                        "sphere-product", "zero-sphere-product"}
+
+
 # ------------------------------------------------------------- hamming
 
 def test_hamming_frozen_oracle():

@@ -492,6 +492,26 @@ def test_q4_ascent_attains_the_sidon_norm(family, p):
     assert est.lower_bound == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+def test_q2_identity_catches_a_scaled_lq_norm(monkeypatch):
+    original = restriction.lq_norm
+    # a 1e-3 scale is caught before any identity is read: the ascent's
+    # certification against its own iterate raises
+    monkeypatch.setattr(restriction, "lq_norm",
+                        lambda f, q: original(f, q) * 1.001)
+    results = verify.run_suites(["restriction"])
+    assert [(r.name, r.passed) for r in results] == [("suite raised", False)]
+    assert "certification mismatch" in results[0].detail
+    # a 1e-10 scale is inside the certification tolerance and passes
+    # every other check; only the exact q = 2 value sees it
+    monkeypatch.setattr(restriction, "lq_norm",
+                        lambda f, q: original(f, q) * (1 + 1e-10))
+    failed = [r.name for r in verify.run_suites(["restriction"])
+              if not r.passed]
+    assert failed == [
+        f"q=2 identity {name}" + "".join(f" {k}={v}" for k, v in prm.items())
+        + f" p={p}" for name, prm, p in verify.Q2_CASES]
+
+
 @pytest.mark.parametrize("q", [3.0, 4.0, 6.0])
 def test_sign_fault_breaks_the_ascent_monotonicity(q):
     # the ascent transforms through spectral._transform, so the fault

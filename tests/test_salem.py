@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffrestrict import spectral, verify
+from ffrestrict import ensembles, spectral, verify
 from ffrestrict.field import VectorSpace
 from ffrestrict.ensembles import (
     PointSet,
+    cutoff_cylinder,
     full_space,
     hamming_variety,
     random_set,
@@ -147,6 +148,45 @@ def test_product_profile_matches_the_dense_route(name, params, sizes):
         assert got.set_size == want.set_size
         for (pe, g), (_, w) in zip(got.entries, want.entries):
             assert abs(g - w) <= 1e-12 * w, (name, p, pe)
+
+
+def test_cylinder_profile_never_makes_the_bitmap():
+    # the Salem route reads a product's factors only, so the p = 17
+    # cylinder's 24.1M-flag bitmap is not made until it is asked for
+    tracemalloc.start()
+    try:
+        e = cutoff_cylinder(VectorSpace(17, 6, max_points=17 ** 6), 2, 1, 3)
+        profile(e, [2, 6, math.inf])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    memb = e.membership
+    eager = e.factors[0].membership
+    for f in e.factors[1:]:
+        eager = np.outer(f.membership, eager).reshape(-1)
+    assert np.array_equal(memb, eager)
+    assert not memb.flags.writeable
+    assert e.membership is memb
+
+
+def test_products_oracle_catches_a_cardinality_that_drops_a_factor(
+        monkeypatch):
+    original = ensembles._product_cardinality
+    monkeypatch.setattr(ensembles, "_product_cardinality",
+                        lambda factors: original(factors[:-1]))
+    faulted = [r for r in verify.run_suites(["products"]) if not r.passed]
+    # sidon-embedded's last factor is the one point {0}, so dropping it
+    # leaves its cardinality right
+    assert len(faulted) == sum(len(sizes)
+                               for name, _, sizes in verify.PRODUCT_CASES
+                               if name != "sidon-embedded")
+    e = families.builder("sphere-product")(5)
+    lhs, rhs = universal_l2_identity(e)
+    assert abs(lhs - rhs) > 1e-12
+    monkeypatch.undo()
+    lhs, rhs = universal_l2_identity(families.builder("sphere-product")(5))
+    assert abs(lhs - rhs) <= 1e-12
 
 
 def test_one_factor_norm_is_the_dense_norm_bit_for_bit():
