@@ -43,7 +43,8 @@ class PointSet(SpaceArray):
     the low-weight coordinates, so that its spectrum can be read from
     theirs; any other set is its own single factor.  A product built by
     `_product_on` takes its cardinality from its factors and makes its
-    bitmap from them on first use, then freezes and keeps it.
+    bitmap from them on first use, then freezes and keeps it.  A bitmap
+    given with factors must be their product.
     """
 
     _dtype = bool
@@ -54,6 +55,10 @@ class PointSet(SpaceArray):
              factors: tuple["PointSet", ...] = ()) -> None:
         self._tile(space, factors)
         super()._own(space, memb)
+        if factors and not np.array_equal(memb,
+                                          _product_membership(factors)):
+            raise ValueError(
+                f"membership is not the product of its factors on {space}")
         self._cardinality = int(memb.sum())
         self.descriptor = descriptor
         self._factors = factors
@@ -83,10 +88,7 @@ class PointSet(SpaceArray):
     @property
     def membership(self) -> np.ndarray:
         if self._array is None:
-            # flat index in a x b is ia + p^da * ib
-            memb = self._factors[0].membership
-            for f in self._factors[1:]:
-                memb = np.outer(f.membership, memb).reshape(-1)
+            memb = _product_membership(self._factors)
             memb.setflags(write=False)
             self._array = memb
         return self._array
@@ -107,6 +109,15 @@ class PointSet(SpaceArray):
         """The sets whose product this is, low-weight coordinates first;
         (self,) for a set with no product structure."""
         return self._factors or (self,)
+
+
+def _product_membership(factors: tuple[PointSet, ...]) -> np.ndarray:
+    """The membership bitmap of the product of factors, the first on the
+    low-weight coordinates: flat index in a x b is ia + p^da * ib."""
+    memb = factors[0].membership
+    for f in factors[1:]:
+        memb = np.outer(f.membership, memb).reshape(-1)
+    return memb
 
 
 def full_space(space: VectorSpace) -> PointSet:

@@ -14,10 +14,13 @@ with beta_p = 2 alpha s linking the last two.  Operator norms of the
 extension map A f = (f mu)^ from L^2(mu) to L^q are reported as certified
 lower bounds only: each bound is re-evaluated from a stored witness.
 The bounds come from a multistart power ascent that moves its starts
-together, as the rows of a block, with one forward and one inverse
-transform of the block per step; a block holds at most
-DEFAULT_POINT_CAP // p^d rows (at least one), so its memory stays that
-of a single transform at the point cap.
+together, as the rows of a block of values on the support E, applying
+the operator and its adjoint to the block once per step; a block holds
+at most DEFAULT_POINT_CAP // p^d rows (at least one), so its memory
+stays that of a single transform at the point cap.  A small support
+applies them through an |E| x p^d character matrix, any other through
+the FFT over the whole grid (`_takes_matrix_route`).  The witness is
+certified through `fourier_forward` either way.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import spectral
 from .ensembles import PointSet, SetDescriptor, surface_measure
-from .field import DEFAULT_POINT_CAP
+from .field import DEFAULT_POINT_CAP, VectorSpace
 from .rationals import Exact, Pieces, exact, is_inf
 from .spectral import (
     FFMeasure,
@@ -286,50 +289,119 @@ def _starts(mu: FFMeasure, cfg: PowerIterConfig, first: int = 0,
     return tags, block
 
 
+# (apply the operator, apply its adjoint) on a block of rows: the first
+# takes rows x |E| values on the support to rows x p^d transforms, the
+# second takes rows x p^d values back to rows x |E| on the support
+SupportOperator = tuple[Callable[[np.ndarray], np.ndarray],
+                        Callable[[np.ndarray], np.ndarray]]
+
+
+def _takes_matrix_route(space: VectorSpace, support_size: int) -> bool:
+    """The fixed route rule: a character matrix when |E| <= 2 d p and the
+    matrix has at most 2^20 entries, else the FFT.
+
+    A step costs the matrix |E| p^d multiply-adds per row, against two
+    FFTs over the p^d grid.  Timed on a 2-vCPU host at q = 3 and 6, the
+    matrix was 1.1-3.5x faster on every case the rule sends to it
+    (Hamming d=2 at p = 5..31 and d=3 at p = 5, 7, spheres, parabolas,
+    sphere products, a 10% random set at p = 23), and 1.2-2.8x slower on
+    the full space at p = 11 and a 50% random set at p = 23.  The FFT
+    route is also the only one whose memory fits a large support.
+    """
+    return (support_size <= 2 * space.dimension * space.p
+            and support_size * space.size <= 2 ** 20)
+
+
+def _matrix_operator(space: VectorSpace,
+                     support: np.ndarray) -> SupportOperator:
+    """The operator as the |E| x p^d character matrix K[x, xi] =
+    chi(-x.xi) over x in support, and its adjoint as the conjugate
+    matrix, each built once through `spectral._character_matrix`.
+
+    Each row is its own vector-matrix product: a matrix-matrix product
+    rounds a row differently with the rows beside it, so rows would mix.
+    """
+    forward = spectral._character_matrix(space, support, -1)
+    inverse = spectral._character_matrix(space, support, +1).T
+
+    def apply(block: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        return np.matmul(block[:, None, :], matrix)[:, 0]
+
+    return (lambda block: apply(block, forward),
+            lambda g: apply(g, inverse))
+
+
+def _fft_operator(space: VectorSpace,
+                  support: np.ndarray) -> SupportOperator:
+    """The operator and its adjoint as `spectral._transform` over the p^d
+    grid: the block is scattered onto the grid, and the adjoint's result
+    gathered back from it."""
+    def forward(block: np.ndarray) -> np.ndarray:
+        grid = np.zeros((len(block), space.size), dtype=np.complex128)
+        grid[:, support] = block
+        # looked up per call, so a transform swapped into spectral is used
+        return spectral._transform(space, grid, -1)
+
+    def inverse(g: np.ndarray) -> np.ndarray:
+        return spectral._transform(space, g, +1).take(support, axis=-1)
+
+    return forward, inverse
+
+
+def _support_operator(mu: FFMeasure) -> SupportOperator:
+    """The operator on supp mu by the route `_takes_matrix_route` picks."""
+    support = mu.support_indices()
+    if _takes_matrix_route(mu.space, len(support)):
+        return _matrix_operator(mu.space, support)
+    return _fft_operator(mu.space, support)
+
+
 def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
-            cfg: PowerIterConfig
+            cfg: PowerIterConfig, operator: SupportOperator | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nonlinear power iteration from every row of `starts` at once;
-    monotone ascent in q >= 2.
+    """Nonlinear power iteration from every row of `starts` (zero off the
+    support, as `_starts` makes them) at once; monotone ascent in q >= 2.
 
     One step of each row: g = (f mu)^, then
-    f <- normalize(( |g|^{q-2} g )^v 1_supp).  Each step makes one
-    forward and one inverse transform of the block of rows still active.
-    A row is frozen when its value stops moving (converged), when it
-    reaches max_iter (not converged), or when its next iterate has zero
-    L^2(mu) norm (converged); a start of zero norm is frozen at value 0
-    before any step.  Every row keeps its own monotonicity check, so a
-    row whose value falls raises.  Rows never mix: each row's values are
-    those of the same start ascended alone.
+    f <- normalize(( |g|^{q-2} g )^v 1_supp).  The iterates live on the
+    support, as a rows x |E| block; each step applies the operator and
+    then its adjoint, the pair `operator` (by default
+    `_support_operator(mu)`), to the block of rows still active.  A row is frozen when its value stops
+    moving (converged), when it reaches max_iter (not converged), or when
+    its next iterate has zero L^2(mu) norm (converged); a start of zero
+    norm is frozen at value 0 before any step.  Every row keeps its own
+    monotonicity check, so a row whose value falls raises.  Rows never
+    mix: each row's values are those of the same start ascended alone.
 
     Returns per row the last value, the iterate that attained it (the
-    witness), the step count and the converged flag.
+    witness, on the whole space), the step count and the converged flag.
     """
-    space = mu.space
-    weights = mu.weights
-    off_support = weights == 0
+    support = mu.support_indices()
+    forward, inverse = operator or _support_operator(mu)
+    weights = mu.weights[support]
     rows = len(starts)
     values = np.zeros(rows)
-    witnesses = np.zeros_like(starts)
+    witnesses = np.zeros((rows, len(support)), dtype=np.complex128)
     iterations = np.zeros(rows, dtype=np.int64)
     converged = np.zeros(rows, dtype=bool)
 
     def l2mu(block: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(block) ** 2 * weights, axis=-1))
 
-    norms = l2mu(starts)
+    # gathered by take, which keeps the block C-ordered: numpy reduces and
+    # multiplies a strided row in another order than the row alone
+    block = starts.take(support, axis=-1)
+    norms = l2mu(block)
     zero = norms == 0.0
-    witnesses[zero] = starts[zero]
     converged[zero] = True
     active = np.flatnonzero(~zero)
-    f = starts[active] / norms[active, None]
+    f = block[active] / norms[active, None]
     value = np.zeros(len(active))
     for it in range(1, cfg.max_iter + 1):
         if len(active) == 0:
             break
         iterations[active] = it
-        # looked up per step, so a transform swapped into spectral is used
-        g = spectral._transform(space, f * weights, -1)
+        g = forward(f * weights)
         mag = np.abs(g)
         # the root as a scalar power per row: numpy's array power rounds
         # differently in the last bit for some values, which would move
@@ -353,8 +425,7 @@ def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
             # square, so q = 4 keeps the bits of |g|**2
             mag **= q - 2.0
             g *= mag
-            nxt = spectral._transform(space, g, +1)
-            nxt[:, off_support] = 0.0
+            nxt = inverse(g)
             norms = l2mu(nxt)
             flat = norms == 0.0
             if flat.any():
@@ -368,7 +439,9 @@ def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
         active, value = active[~done], new_value[~done]
         if len(go):
             f = nxt
-    return values, witnesses, iterations, converged
+    on_space = np.zeros_like(starts)
+    on_space[:, support] = witnesses
+    return values, on_space, iterations, converged
 
 
 def extension_norm_lower_bound(mu: FFMeasure, q: float,
@@ -393,10 +466,12 @@ def extension_norm_lower_bound(mu: FFMeasure, q: float,
 
     tags, _ = _starts(mu, cfg, 0, 0)
     rows = max(1, DEFAULT_POINT_CAP // mu.space.size)
+    operator = _support_operator(mu)
     best = None
     for first in range(0, len(tags), rows):
         _, block = _starts(mu, cfg, first, first + rows)
-        values, witnesses, iterations, converged = _ascend(mu, block, q, cfg)
+        values, witnesses, iterations, converged = _ascend(
+            mu, block, q, cfg, operator)
         # the first of the largest values: ties break by start order
         i = int(np.argmax(values))
         if best is None or values[i] > best[0]:

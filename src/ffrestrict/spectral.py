@@ -162,6 +162,26 @@ def fourier_inverse(f: GridFunction) -> GridFunction:
     return GridFunction._adopt(f.space, _transform(f.space, f.values, +1))
 
 
+def _dots(space: VectorSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products a_i . b_j mod p of two lists of flat indices, as a
+    (len(a), len(b)) int64 array."""
+    p = space.p
+    dots = np.zeros((len(a), len(b)), dtype=np.int64)
+    for ax in range(space.dimension):
+        dots += np.outer(space.coordinate(a, ax), space.coordinate(b, ax))
+        dots %= p
+    return dots
+
+
+def _character_matrix(space: VectorSpace, points: np.ndarray,
+                      sign: int) -> np.ndarray:
+    """K[i, xi] = chi(sign * points_i . xi) over every frequency xi, from
+    the character table.  At sign -1, block @ K transforms the functions
+    on `points` held in the rows of block."""
+    return space.chi_table[(sign * _dots(space, points,
+                                         space.all_indices())) % space.p]
+
+
 def dft_reference(f: GridFunction, max_points: int = 4096) -> GridFunction:
     """The defining double sum, evaluated directly.  O(p^2d); test oracle.
 
@@ -176,9 +196,7 @@ def dft_reference(f: GridFunction, max_points: int = 4096) -> GridFunction:
     chunk = max(1, (1 << 21) // n)
     for start in range(0, n, chunk):
         xi = idx[start:start + chunk]
-        dots = np.zeros((len(xi), n), dtype=np.int64)
-        for ax in range(space.dimension):
-            dots += np.outer(space.coordinate(xi, ax), space.coordinate(idx, ax))
+        dots = _dots(space, xi, idx)
         out[start:start + len(xi)] = space.chi_table[(-dots) % space.p] @ f.values
     return GridFunction._adopt(space, out)
 

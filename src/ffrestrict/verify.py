@@ -70,17 +70,22 @@ class CheckResult:
 
 @contextlib.contextmanager
 def character_sign_fault() -> Iterator[None]:
-    """Swap in a transform whose character has sign +1 in both
-    directions, so the forward transform is wrong and the inverse is
-    not; for mutation testing only.  The defining-sum and inversion
-    checks must fail.  The original transform is restored on exit."""
-    original = spectral._transform
-    spectral._transform = lambda space, values, sign: original(
+    """Swap in a transform, and a character matrix, whose character has
+    sign +1 in both directions, so the forward transform is wrong and
+    the inverse is not; for mutation testing only.  The defining-sum and
+    inversion checks must fail, and so must the ascent on either of its
+    routes.  The originals are restored on exit."""
+    transform = spectral._transform
+    matrix = spectral._character_matrix
+    spectral._transform = lambda space, values, sign: transform(
         space, values, +1)
+    spectral._character_matrix = lambda space, points, sign: matrix(
+        space, points, +1)
     try:
         yield
     finally:
-        spectral._transform = original
+        spectral._transform = transform
+        spectral._character_matrix = matrix
 
 
 def _suite_field() -> list[CheckResult]:

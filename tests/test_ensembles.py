@@ -128,6 +128,21 @@ def test_factors_must_tile_the_space():
         == (a, a)
 
 
+def test_factors_must_fold_to_the_membership():
+    # the full space of F_5^4 is not the product of two unit circles;
+    # read through its factors it would report the circles' spectrum
+    circle = sphere(_space(5, 2), 1)
+    for make in (PointSet, PointSet._adopt):
+        with pytest.raises(ValueError,
+                           match="membership is not the product of its "
+                                 "factors on VectorSpace"):
+            make(_space(5, 4), np.ones(625, dtype=bool), None,
+                 (circle, circle))
+    # a single factor must be the set itself
+    with pytest.raises(ValueError, match="not the product"):
+        PointSet(_space(5, 2), ~circle.membership, None, (circle,))
+
+
 def test_product_flat_index_order():
     # product(a, b) lives on the concatenated space with a's coordinates
     # in the low positions

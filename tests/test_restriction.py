@@ -439,26 +439,34 @@ def test_ascent_rows_match_each_start_ascended_alone(family, params, p, q):
             assert got[i:i + 1].tobytes() == want.tobytes(), i
 
 
-@pytest.mark.parametrize("family, params, p, q", [
-    ("hamming", {"d": 2}, 11, 3.0),
-    ("hamming", {"d": 2}, 11, 6.0),
-    ("sphere", {"k": 2}, 7, 4.0),
-], ids=["hamming-q3", "hamming-q6", "sphere-q4"])
+@pytest.mark.parametrize("family, params, p, q, matrix", [
+    ("hamming", {"d": 2}, 11, 3.0, True),
+    ("hamming", {"d": 2}, 11, 6.0, True),
+    ("sphere", {"k": 2}, 7, 4.0, True),
+    ("random", {"d": 2, "percent": 50}, 11, 4.0, False),
+], ids=["hamming-q3", "hamming-q6", "sphere-q4", "random-q4-fft"])
 def test_ascent_blocks_stay_under_the_point_cap(monkeypatch, family, params,
-                                                p, q):
+                                                p, q, matrix):
     # at a cap of 2 p^d the 26 starts are ascended two rows at a time,
-    # and the estimate is the one-block estimate bit for bit
+    # and the estimate is the one-block estimate bit for bit, on either
+    # side of the route rule
     mu = surface_measure(families.builder(family, params)(p))
+    assert restriction._takes_matrix_route(
+        mu.space, len(mu.support_indices())) is matrix
     want = extension_norm_lower_bound(mu, q)
     rows = []
-    transform = spectral._transform
+    support_operator = restriction._support_operator
 
-    def counted(space, values, sign):
-        rows.append(len(values) if values.ndim == 2 else 1)
-        return transform(space, values, sign)
+    def counted(mu):
+        def count(apply):
+            def run(block):
+                rows.append(len(block))
+                return apply(block)
+            return run
+        return tuple(count(apply) for apply in support_operator(mu))
 
     monkeypatch.setattr(restriction, "DEFAULT_POINT_CAP", 2 * mu.space.size)
-    monkeypatch.setattr(spectral, "_transform", counted)
+    monkeypatch.setattr(restriction, "_support_operator", counted)
     got = extension_norm_lower_bound(mu, q)
     assert max(rows) == 2
     assert got.lower_bound.hex() == want.lower_bound.hex()
@@ -520,6 +528,24 @@ def test_sign_fault_breaks_the_ascent_monotonicity(q):
     with verify.character_sign_fault():
         with pytest.raises(RuntimeError, match="lost monotonicity"):
             extension_norm_lower_bound(mu, q)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("q", [3.0, 4.0, 6.0])
+def test_unconjugated_inverse_matrix_is_caught(monkeypatch, p, q):
+    # an adjoint built from the forward matrix, K^T instead of its
+    # conjugate, returns each next iterate reflected through the origin;
+    # the parabola is not symmetric, so the reflected iterate leaves the
+    # ascent.  (On a set with E = -E the reflection keeps every value, so
+    # the fault changes no bound there.)
+    mu = surface_measure(families.builder("sidon-parabola")(p))
+    assert restriction._takes_matrix_route(mu.space, p)
+    matrix = spectral._character_matrix
+    monkeypatch.setattr(spectral, "_character_matrix",
+                        lambda space, points, sign: matrix(space, points, -1))
+    with pytest.raises(RuntimeError,
+                       match="lost monotonicity|certification mismatch"):
+        extension_norm_lower_bound(mu, q)
 
 
 # --------------------------------------------------------------- sweeps
