@@ -41,42 +41,30 @@ class PointSet(SpaceArray):
 
     A set built as a product E_1 x ... x E_k keeps its factors, E_1 on
     the low-weight coordinates, so that its spectrum can be read from
-    theirs; any other set is its own single factor.  A product built by
-    `_product_on` takes its cardinality from its factors and makes its
-    bitmap from them on first use, then freezes and keeps it.  A bitmap
-    given with factors must be their product.
+    theirs; any other set is its own single factor.  A product is made
+    only by `_product`: it takes its cardinality from its factors and
+    makes its bitmap from them on first use, then freezes and keeps it.
     """
 
     _dtype = bool
     _noun = "membership flags"
 
     def _own(self, space: VectorSpace, memb: np.ndarray,
-             descriptor: SetDescriptor | None = None,
-             factors: tuple["PointSet", ...] = ()) -> None:
-        self._tile(space, factors)
+             descriptor: SetDescriptor | None = None) -> None:
         super()._own(space, memb)
-        if factors and not np.array_equal(memb,
-                                          _product_membership(factors)):
-            raise ValueError(
-                f"membership is not the product of its factors on {space}")
         self._cardinality = int(memb.sum())
         self.descriptor = descriptor
-        self._factors = factors
-
-    @staticmethod
-    def _tile(space: VectorSpace, factors: tuple["PointSet", ...]) -> None:
-        if factors and (
-                any(f.space.p != space.p for f in factors)
-                or sum(f.space.dimension for f in factors)
-                != space.dimension):
-            raise ValueError(f"factors do not tile {space}")
+        self._factors = ()
 
     @classmethod
     def _product(cls, space: VectorSpace, factors: tuple["PointSet", ...],
                  descriptor: SetDescriptor) -> "PointSet":
         """The product of factors on space, with no bitmap until
         `membership` is read."""
-        cls._tile(space, factors)
+        if (any(f.space.p != space.p for f in factors)
+                or sum(f.space.dimension for f in factors)
+                != space.dimension):
+            raise ValueError(f"factors do not tile {space}")
         obj = cls.__new__(cls)
         obj._space = space
         obj._array = None

@@ -357,7 +357,7 @@ def _support_operator(mu: FFMeasure) -> SupportOperator:
 
 
 def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
-            cfg: PowerIterConfig, operator: SupportOperator | None = None
+            cfg: PowerIterConfig, operator: SupportOperator
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Nonlinear power iteration from every row of `starts` (zero off the
     support, as `_starts` makes them) at once; monotone ascent in q >= 2.
@@ -365,19 +365,20 @@ def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
     One step of each row: g = (f mu)^, then
     f <- normalize(( |g|^{q-2} g )^v 1_supp).  The iterates live on the
     support, as a rows x |E| block; each step applies the operator and
-    then its adjoint, the pair `operator` (by default
-    `_support_operator(mu)`), to the block of rows still active.  A row is frozen when its value stops
-    moving (converged), when it reaches max_iter (not converged), or when
-    its next iterate has zero L^2(mu) norm (converged); a start of zero
-    norm is frozen at value 0 before any step.  Every row keeps its own
-    monotonicity check, so a row whose value falls raises.  Rows never
-    mix: each row's values are those of the same start ascended alone.
+    then its adjoint, the pair `operator` (as `_support_operator(mu)`
+    makes it), to the block of rows still active.  A row is frozen when
+    its value stops moving (converged), when it reaches max_iter (not
+    converged), or when its next iterate has zero L^2(mu) norm
+    (converged); a start of zero norm is frozen at value 0 before any
+    step.  Every row keeps its own monotonicity check, so a row whose
+    value falls raises.  Rows never mix: each row's values are those of
+    the same start ascended alone.
 
     Returns per row the last value, the iterate that attained it (the
     witness, on the whole space), the step count and the converged flag.
     """
     support = mu.support_indices()
-    forward, inverse = operator or _support_operator(mu)
+    forward, inverse = operator
     weights = mu.weights[support]
     rows = len(starts)
     values = np.zeros(rows)

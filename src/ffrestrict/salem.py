@@ -1,5 +1,6 @@
 """Salem exponents: spectral profiles, log-log regression fits across
-growing fields, and the exact Hamming-variety transform.
+growing fields, and the closed-form Hamming-variety transform, which
+reads every frequency of a spectrum in one vectorized call.
 
 A set E is (p, s)-Salem when its surface measure satisfies
 ||mu^||_p <= C |E|^{-s} with C independent of the field size.  The
@@ -112,72 +113,61 @@ def fit_salem_exponent(builder: Callable[[int], PointSet], p_exp: float,
                     tuple(set_sizes), predicted_s)
 
 
-def _hamming_zero_free_value(space: VectorSpace, j: int,
-                             coords: tuple[int, ...]) -> complex:
-    """Direct character sum for a frequency with no zero coordinate.
-
-    Parametrizes H_j by the first d-1 coordinates over units, the last
-    one forced to j / prod.  The sum is a Kloosterman-type sum; Deligne's
-    bound |sum| <= d p^{(d-1)/2} is asserted as an internal sanity check.
-    """
-    p, d = space.p, space.dimension
-    inv_table = np.zeros(p, dtype=np.int64)
-    for u in range(1, p):
-        inv_table[u] = pow(u, p - 2, p)
-    grids = np.indices((p - 1,) * (d - 1), dtype=np.int64) + 1
-    free = [g.reshape(-1) for g in grids]
-    prod = np.ones(free[0].shape, dtype=np.int64)
-    phase = np.zeros(free[0].shape, dtype=np.int64)
-    for i in range(d - 1):
-        prod = (prod * free[i]) % p
-        phase = (phase + coords[i] * free[i]) % p
-    last = (j * inv_table[prod]) % p
-    phase = (phase + coords[d - 1] * last) % p
-    total = complex(space.chi_table[(-phase) % p].sum())
-    value = total / (p - 1) ** (d - 1)
-    deligne = d * p ** ((d - 1) / 2) / (p - 1) ** (d - 1)
-    if abs(value) > deligne * (1 + 1e-9):
-        raise RuntimeError(
-            f"Kloosterman-type sum exceeded the Deligne bound at m={coords}")
-    return value
-
-
-def _as_coords(space: VectorSpace, m) -> tuple[int, ...]:
-    if isinstance(m, (int, np.integer)):
-        return space.decode(int(m))
-    coords = tuple(int(c) % space.p for c in m)
-    if len(coords) != space.dimension:
-        raise ValueError(f"expected {space.dimension} coordinates")
-    return coords
-
-
-def hamming_exact_transform(space: VectorSpace, j: int, m) -> complex:
-    """mu_j^(m) for the Hamming surface measure, in closed form.
+def hamming_exact_transform(space: VectorSpace, j: int, m):
+    """mu_j^(m) for the surface measure of H_j = {x : prod x_i = j}, in
+    closed form, at a flat index m (a complex) or at an array of flat
+    indices (an array of the same shape).
 
     With l = #zero coordinates of m:
         l >= 1:  (-1)^{d-l} (p-1)^{-(d-l)}   (exact)
-        l  = 0:  the direct Kloosterman-type character sum, which obeys
-                 |mu^(m)| <= C p^{-(d-1)/2}
-    m may be a coordinate sequence or a flat index.
+        l  = 0:  K(j prod m) / (p-1)^{d-1}, K(c) the hyper-Kloosterman
+                 sum of chi(-sum y) over y in (F_p^*)^d with prod y = c
+    Substituting y_i = x_i m_i gives the second line.  With y_i = g^a_i
+    for a primitive root g, K is the d-fold cyclic convolution on
+    Z/(p-1) of u(a) = chi(-g^a), so one FFT of length p-1 gives K at
+    every c.  Deligne's bound |K| <= d p^{(d-1)/2}, that is
+    |mu^(m)| <= C p^{-(d-1)/2}, is asserted as an internal sanity check.
     """
-    j = j % space.p
+    p, d = space.p, space.dimension
+    j = j % p
     if j == 0:
         raise ValueError("hamming variety requires j != 0")
-    coords = _as_coords(space, m)
-    d = space.dimension
-    zeros = sum(1 for c in coords if c == 0)
-    if zeros >= 1:
-        return complex((-1) ** (d - zeros) / (space.p - 1) ** (d - zeros))
-    return _hamming_zero_free_value(space, j, coords)
+    idx = np.asarray(m)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"expected flat indices, got dtype {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= space.size):
+        raise ValueError(f"index out of range [0, {space.size})")
+    idx = idx.astype(np.int64)
+    zeros = np.zeros(idx.shape, dtype=np.int64)
+    # j prod m, reduced per coordinate: both factors are < p < 2^31
+    prod = np.full(idx.shape, j, dtype=np.int64)
+    for axis in range(d):
+        c = space.coordinate(idx, axis)
+        zeros += c == 0
+        prod = prod * c % p
 
+    # g^a for a < p - 1, doubled block by block, for the least g whose
+    # powers fill F_p^*; then log[g^a] = a
+    for g in range(1, p):
+        powers = np.ones(p - 1, dtype=np.int64)
+        k = 1
+        while k < p - 1:
+            n = min(k, p - 1 - k)
+            powers[k:k + n] = powers[:n] * pow(g, k, p) % p
+            k += n
+        if len(np.unique(powers)) == p - 1:
+            break
+    log = np.zeros(p, dtype=np.int64)
+    log[powers] = np.arange(p - 1)
+    kloosterman = np.fft.ifft(np.fft.fft(space.chi_table[-powers % p]) ** d)
+    if np.max(np.abs(kloosterman)) > d * p ** ((d - 1) / 2) * (1 + 1e-9):
+        raise RuntimeError(
+            f"hyper-Kloosterman sum exceeded the Deligne bound on {space}")
 
-def hamming_decay_constant(space: VectorSpace, j: int, m) -> float:
-    """Measured C in |mu^(m)| <= C p^{-(d-1)/2} at a zero-free frequency."""
-    coords = _as_coords(space, m)
-    if any(c == 0 for c in coords):
-        raise ValueError("decay constant is defined for zero-free frequencies")
-    value = hamming_exact_transform(space, j, coords)
-    return abs(value) * space.p ** ((space.dimension - 1) / 2)
+    table = [(-1) ** (d - l) / (p - 1) ** (d - l) for l in range(d + 1)]
+    out = np.where(zeros > 0, np.array(table)[zeros],
+                   kloosterman[log[prod]] / (p - 1) ** (d - 1))
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Each suite re-derives identities from independent routes (defining sums,
 closed forms, exact rational algebra) and compares against the optimized
 paths.  The mutation check flips the forward character sign and demands
-that the transform-identity suite notices; it guards against the suite
-itself going vacuous.
+that the transform-identity suite and the restriction suite each notice;
+it guards against the suites themselves going vacuous.
 
 Scale policy: exhaustive checks for p <= 13, sampled checks up to p = 23,
 and defining-sum checks of the transform up to p = 127.
@@ -44,7 +44,6 @@ from .restriction import (
 )
 from .salem import (
     check_universal_salem,
-    hamming_decay_constant,
     hamming_exact_transform,
     profile,
     universal_l2_identity,
@@ -191,27 +190,28 @@ def _suite_ensembles() -> list[CheckResult]:
 
 
 def _suite_hamming() -> list[CheckResult]:
+    """The closed form against the dense transform at every frequency,
+    at j = 1 and at j = 2, where a j <-> 1/j swap is not invisible; and
+    the decay constant, which is the same at every j."""
     out = []
     for p in (3, 5, 7):
         for d in (2, 3):
             space = VectorSpace(p, d)
-            e = hamming_variety(space, 1)
-            mhat = fourier_forward(surface_measure(e).as_grid()).values
-            worst = 0.0
-            worst_c = 0.0
-            for m in range(space.size):
-                coords = space.decode(m)
-                exactv = hamming_exact_transform(space, 1, coords)
-                worst = max(worst, abs(mhat[m] - exactv))
-                if all(coords):
-                    worst_c = max(worst_c,
-                                  hamming_decay_constant(space, 1, coords))
+            idx = space.all_indices()
+            free = np.all([space.coordinate(idx, axis) != 0
+                           for axis in range(d)], axis=0)
+            for j in (1, 2):
+                e = hamming_variety(space, j)
+                mhat = fourier_forward(surface_measure(e).as_grid()).values
+                exact = hamming_exact_transform(space, j, idx)
+                worst = float(np.max(np.abs(mhat - exact)))
+                out.append(CheckResult(
+                    "hamming", f"closed form p={p} d={d} j={j}",
+                    worst <= 1e-12, f"max |diff| = {worst:.2e}"))
+            const = float(np.max(np.abs(exact[free]))) * p ** ((d - 1) / 2)
             out.append(CheckResult(
-                "hamming", f"closed form p={p} d={d}", worst <= 1e-12,
-                f"max |diff| = {worst:.2e}"))
-            out.append(CheckResult(
-                "hamming", f"decay constant p={p} d={d}", worst_c <= 4.0,
-                f"C = {worst_c:.3f}"))
+                "hamming", f"decay constant p={p} d={d}", const <= 4.0,
+                f"C = {const:.3f}"))
     return out
 
 
@@ -385,6 +385,15 @@ def _suite_restriction() -> list[CheckResult]:
             "restriction", f"q=2 identity {name}{label} p={p}",
             err <= 1e-12, f"rel err = {err:.2e}"))
 
+    # a Sidon set has ||A||^4 = p^d (2/|E|^2 - 1/|E|^3) exactly, which on
+    # the parabola is 2 - 1/p; at p = 5 the ascent takes the matrix route
+    e = sidon_parabola(VectorSpace(5, 2))
+    want = (2 - 1 / 5) ** 0.25
+    got = extension_norm_lower_bound(surface_measure(e), 4.0).lower_bound
+    err = abs(got - want) / want
+    out.append(CheckResult("restriction", "q=4 sidon norm sidon-parabola p=5",
+                           err <= 1e-12, f"rel err = {err:.2e}"))
+
     e = hamming_variety(VectorSpace(5, 2), 1)
     mu = surface_measure(e)
     cfg = PowerIterConfig(random_starts=2, max_iter=200)
@@ -436,6 +445,16 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
+def _run_suite(name: str,
+               suite: Callable[[], list[CheckResult]]) -> list[CheckResult]:
+    """One suite's checks; a suite that raises is one failed check."""
+    try:
+        return suite()
+    except Exception as exc:
+        return [CheckResult(name, "suite raised", False,
+                            f"{type(exc).__name__}: {exc}")]
+
+
 def run_suites(names: list[str] | None = None) -> list[CheckResult]:
     """Run the named suites (default all); a suite that raises is one
     failed check, and the later suites still run."""
@@ -446,26 +465,27 @@ def run_suites(names: list[str] | None = None) -> list[CheckResult]:
                 f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     results: list[CheckResult] = []
     for name in chosen:
-        try:
-            results.extend(SUITES[name]())
-        except Exception as exc:
-            results.append(CheckResult(
-                name, "suite raised", False, f"{type(exc).__name__}: {exc}"))
+        results.extend(_run_suite(name, SUITES[name]))
     return results
 
 
 def mutation_check(results: list[CheckResult] | None = None) -> CheckResult:
-    """The transform-identity suite must fail under a flipped forward
-    character sign and pass without it.
+    """The transform-identity suite and the restriction suite must each
+    fail under a flipped forward character sign and pass without it:
+    the fault reaches the transform, and through it the ascent.
 
-    The clean pass is read from the parseval checks in `results` when a
-    caller has already run that suite; otherwise it is run here.
+    The clean pass of each is read from `results` when a caller has
+    already run that suite; otherwise it is run here.
     """
-    clean = [r for r in results or () if r.suite == "parseval"] \
-        or _suite_parseval()
+    suites = {"parseval": _suite_parseval, "restriction": _suite_restriction}
+    clean = []
+    for name, suite in suites.items():
+        clean += [r for r in results or () if r.suite == name] \
+            or _run_suite(name, suite)
     with character_sign_fault():
-        faulted = [r for r in _suite_parseval() if not r.passed]
-    ok = all(r.passed for r in clean) and len(faulted) > 0
-    detail = (f"{len(faulted)} checks failed under fault" if faulted
-              else "fault went unnoticed")
+        faulted = {name: sum(not r.passed for r in _run_suite(name, suite))
+                   for name, suite in suites.items()}
+    ok = all(r.passed for r in clean) and all(faulted.values())
+    detail = (f"{sum(faulted.values())} checks failed under fault ("
+              + ", ".join(f"{n} {k}" for n, k in faulted.items()) + ")")
     return CheckResult("mutation", "character sign fault detected", ok, detail)

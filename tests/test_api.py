@@ -12,8 +12,7 @@ _PUBLIC_API = [
     "sidon_parabola", "is_sidon", "cutoff_cylinder",
     "surface_measure", "random_set", "full_space",
     "SpectralProfile", "SalemFit", "profile", "fit_salem_exponent",
-    "hamming_exact_transform", "hamming_decay_constant",
-    "check_universal_salem",
+    "hamming_exact_transform", "check_universal_salem",
     "ThresholdReport", "ExtensionNormEstimate", "GrowthSweep",
     "PowerIterConfig", "mocktao_threshold", "main_threshold",
     "salem_threshold", "improvement_condition", "optimize_p",

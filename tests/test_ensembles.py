@@ -117,30 +117,15 @@ def test_cylinder_factors_are_slab_and_sphere():
 
 def test_factors_must_tile_the_space():
     a = sphere(_space(5, 2), 1)
-    memb = np.outer(a.membership, a.membership).reshape(-1)
+    desc = SetDescriptor.make("product", da=2, db=2)
     with pytest.raises(ValueError, match="tile"):
-        PointSet._adopt(_space(5, 5), np.zeros(5 ** 5, dtype=bool), None,
-                        (a, a))
+        PointSet._product(_space(5, 5), (a, a), desc)
     with pytest.raises(ValueError, match="tile"):
-        PointSet._adopt(_space(7, 4), np.zeros(7 ** 4, dtype=bool), None,
-                        (a, a))
-    assert PointSet._adopt(_space(5, 4), memb, None, (a, a)).factors \
-        == (a, a)
-
-
-def test_factors_must_fold_to_the_membership():
-    # the full space of F_5^4 is not the product of two unit circles;
-    # read through its factors it would report the circles' spectrum
-    circle = sphere(_space(5, 2), 1)
-    for make in (PointSet, PointSet._adopt):
-        with pytest.raises(ValueError,
-                           match="membership is not the product of its "
-                                 "factors on VectorSpace"):
-            make(_space(5, 4), np.ones(625, dtype=bool), None,
-                 (circle, circle))
-    # a single factor must be the set itself
-    with pytest.raises(ValueError, match="not the product"):
-        PointSet(_space(5, 2), ~circle.membership, None, (circle,))
+        PointSet._product(_space(7, 4), (a, a), desc)
+    e = PointSet._product(_space(5, 4), (a, a), desc)
+    assert e.factors == (a, a)
+    assert np.array_equal(e.membership,
+                          np.outer(a.membership, a.membership).reshape(-1))
 
 
 def test_product_flat_index_order():

@@ -431,10 +431,11 @@ def test_ascent_rows_match_each_start_ascended_alone(family, params, p, q):
     mu = surface_measure(families.builder(family, params)(p))
     cfg = PowerIterConfig()
     _, starts = restriction._starts(mu, cfg)
-    batch = restriction._ascend(mu, starts, q, cfg)
+    operator = restriction._support_operator(mu)
+    batch = restriction._ascend(mu, starts, q, cfg, operator)
     assert len(set(batch[2].tolist())) > 1
     for i in range(len(starts)):
-        alone = restriction._ascend(mu, starts[i:i + 1], q, cfg)
+        alone = restriction._ascend(mu, starts[i:i + 1], q, cfg, operator)
         for got, want in zip(batch, alone):
             assert got[i:i + 1].tobytes() == want.tobytes(), i
 
@@ -510,14 +511,16 @@ def test_q2_identity_catches_a_scaled_lq_norm(monkeypatch):
     assert [(r.name, r.passed) for r in results] == [("suite raised", False)]
     assert "certification mismatch" in results[0].detail
     # a 1e-10 scale is inside the certification tolerance and passes
-    # every other check; only the exact q = 2 value sees it
+    # every other check; only the exact q = 2 and Sidon q = 4 values
+    # see it
     monkeypatch.setattr(restriction, "lq_norm",
                         lambda f, q: original(f, q) * (1 + 1e-10))
     failed = [r.name for r in verify.run_suites(["restriction"])
               if not r.passed]
     assert failed == [
         f"q=2 identity {name}" + "".join(f" {k}={v}" for k, v in prm.items())
-        + f" p={p}" for name, prm, p in verify.Q2_CASES]
+        + f" p={p}" for name, prm, p in verify.Q2_CASES] + [
+        "q=4 sidon norm sidon-parabola p=5"]
 
 
 @pytest.mark.parametrize("q", [3.0, 4.0, 6.0])

@@ -23,7 +23,6 @@ from ffrestrict.spectral import fourier_forward, lp_average_norm
 from ffrestrict.salem import (
     check_universal_salem,
     fit_salem_exponent,
-    hamming_decay_constant,
     hamming_exact_transform,
     profile,
     universal_l2_identity,
@@ -129,7 +128,8 @@ def test_half_spectrum_oracle_catches_a_unit_mirror_weight(monkeypatch):
     monkeypatch.undo()
     lhs, rhs = universal_l2_identity(hamming_variety(_space(5, 2), 1))
     assert abs(lhs - rhs) <= 1e-12
-    assert verify.mutation_check().detail == "14 checks failed under fault"
+    assert verify.mutation_check().detail == (
+        "15 checks failed under fault (parseval 14, restriction 1)")
 
 
 @pytest.mark.parametrize(
@@ -207,7 +207,8 @@ def test_product_oracle_catches_a_faulty_factor_fold(monkeypatch):
     assert len(faulted) == sum(len(sizes)
                                for _, _, sizes in verify.PRODUCT_CASES)
     # the character-sign mutation line does not move
-    assert verify.mutation_check().detail == "14 checks failed under fault"
+    assert verify.mutation_check().detail == (
+        "15 checks failed under fault (parseval 14, restriction 1)")
 
 
 def test_product_oracle_catches_the_zero_frequency_summed(monkeypatch):
@@ -237,56 +238,50 @@ def test_fit_rejects_degenerate_family():
 
 # ------------------------------------------------- exact hamming facts
 
-def test_hamming_exact_transform_all_nonzero_frequencies():
-    for p, d in [(3, 2), (5, 2), (3, 3), (5, 3)]:
-        space = _space(p, d)
-        e = hamming_variety(space, 1)
-        mhat = fourier_forward(surface_measure(e).as_grid()).values
-        for idx in range(1, space.size):
-            coords = space.decode(idx)
-            if 0 not in coords:
-                continue  # Kloosterman regime, no closed form
-            got = hamming_exact_transform(space, 1, coords)
-            assert abs(got - mhat[idx]) < 1e-12
+HAMMING_CASES = [(p, d, j) for p in (2, 3, 5, 7, 13) for d in (2, 3, 4)
+                 if p ** d <= 3000 for j in sorted({1, p - 1, 2})
+                 if j < p]
+
+
+@pytest.mark.parametrize("p, d, j", HAMMING_CASES,
+                         ids=[f"p{p}-d{d}-j{j}" for p, d, j in HAMMING_CASES])
+def test_hamming_exact_transform_matches_the_dense_transform(p, d, j):
+    # every frequency, zero-free ones included, from one call; j = 2
+    # tells j from 1/j
+    space = _space(p, d)
+    e = hamming_variety(space, j)
+    mhat = fourier_forward(surface_measure(e).as_grid()).values
+    idx = space.all_indices()
+    got = hamming_exact_transform(space, j, idx)
+    assert got.shape == mhat.shape
+    assert np.max(np.abs(got - mhat)) <= 1e-12
+    # square-root cancellation at the zero-free frequencies
+    free = np.all([space.coordinate(idx, a) != 0 for a in range(d)], axis=0)
+    assert np.max(np.abs(got[free])) * p ** ((d - 1) / 2) <= 4.0
 
 
 def test_hamming_exact_transform_value():
-    # d = 2, m = (t, 0) with t != 0: value -1/(p-1)
+    # d = 2, m = (t, 0) with t != 0: value -1/(p-1), exactly
     space = _space(7, 2)
-    val = hamming_exact_transform(space, 1, (3, 0))
-    assert val == pytest.approx(-1.0 / 6)
-    # fully zero-free frequency falls back to the character sum route
-    direct = hamming_exact_transform(space, 1, (2, 3))
-    mhat = fourier_forward(
-        surface_measure(hamming_variety(space, 1)).as_grid()).values
-    assert abs(direct - mhat[space.encode((2, 3))]) < 1e-12
+    val = hamming_exact_transform(space, 1, space.encode((3, 0)))
+    assert val == complex(-1 / 6)
 
 
 def test_hamming_exact_at_zero_frequency_is_total_mass():
     # l = d at m = 0, and the closed form degenerates to mu^(0) = 1
-    assert hamming_exact_transform(_space(5, 2), 1, (0, 0)) == 1.0
+    assert hamming_exact_transform(_space(5, 2), 1, 0) == 1.0
 
 
 def test_hamming_exact_rejects_j_zero():
-    with pytest.raises(ValueError):
-        hamming_exact_transform(_space(5, 2), 0, (1, 1))
-
-
-def test_hamming_decay_constant_small():
-    for p, d in [(5, 2), (7, 2), (5, 3)]:
-        space = _space(p, d)
-        worst = 0.0
-        for idx in range(1, space.size):
-            coords = space.decode(idx)
-            if 0 in coords:
-                continue
-            worst = max(worst, hamming_decay_constant(space, 1, coords))
-        assert worst <= 4.0
-
-
-def test_hamming_decay_constant_requires_zero_free():
-    with pytest.raises(ValueError):
-        hamming_decay_constant(_space(5, 2), 1, (3, 0))
+    space = _space(5, 2)
+    with pytest.raises(ValueError, match="j != 0"):
+        hamming_exact_transform(space, 0, space.encode((1, 1)))
+    # and any index outside [0, p^d), or one that is not an integer
+    for m in (-1, 25, np.array([0, 25])):
+        with pytest.raises(ValueError, match="out of range"):
+            hamming_exact_transform(space, 1, m)
+    with pytest.raises(TypeError, match="flat indices"):
+        hamming_exact_transform(space, 1, np.array([1.0, 2.0]))
 
 
 # ------------------------------------------------------- closed forms
