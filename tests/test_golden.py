@@ -32,12 +32,19 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 SWEEP_HAMMING = ["sweep", "--family", "hamming", "--d", "2",
                  "--field-sizes", "5,7,11,13", "--starts", "2"]
+SWEEP_BENCH = ["sweep", "--family", "hamming", "--d", "2", "--j", "1",
+               "--field-sizes", "5,7,11,13,17,19,23", "--starts", "8",
+               "--seed", "0"]
 PROFILE_GRID = ["--p-grid", "1,2,4,8,inf"]
 FIT_SIZES = ["--field-sizes", "3,5,7,11"]
 
 COMMANDS = {
     "sweep-hamming-d2-q3": [*SWEEP_HAMMING, "--q", "3"],
     "sweep-hamming-d2-q6": [*SWEEP_HAMMING, "--q", "6"],
+    # the sweeps the ext-sweep benchmark runs at seed 0: p = 17..23 and
+    # eight random starts reach rows that stop at the max_iter cap
+    "sweep-hamming-d2-q3-bench": [*SWEEP_BENCH, "--q", "3"],
+    "sweep-hamming-d2-q6-bench": [*SWEEP_BENCH, "--q", "6"],
     "ext-norm-sphere-k2-p7-q4": ["ext-norm", "--family", "sphere", "--k", "2",
                                  "--p", "7", "--q", "4"],
     "ext-norm-sidon-embedded-p5-q6": ["ext-norm", "--family",
