@@ -366,16 +366,26 @@ def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
     f <- normalize(( |g|^{q-2} g )^v 1_supp).  The iterates live on the
     support, as a rows x |E| block; each step applies the operator and
     then its adjoint, the pair `operator` (as `_support_operator(mu)`
-    makes it), to the block of rows still active.  A row is frozen when
-    its value stops moving (converged), when it reaches max_iter (not
-    converged), or when its next iterate has zero L^2(mu) norm
-    (converged); a start of zero norm is frozen at value 0 before any
-    step.  Every row keeps its own monotonicity check, so a row whose
-    value falls raises.  Rows never mix: each row's values are those of
-    the same start ascended alone.
+    makes it), to the block of rows still active.  A row stops when its
+    value stops moving (converged), when its next iterate has zero
+    L^2(mu) norm (converged), or at step max_iter (not converged, unless
+    one of the other two holds there); a start of zero norm stops at
+    value 0 before any step.  Every row keeps its own monotonicity
+    check, so a row whose value falls raises.  Rows never mix: each
+    row's values are those of the same start ascended alone.
+
+    A step where no row stops does only the arithmetic of the active
+    rows.  A row's value, iterate (its witness), step count and
+    converged flag are written once, on the step where it stops, and the
+    active block is compacted only on such a step.
 
     Returns per row the last value, the iterate that attained it (the
     witness, on the whole space), the step count and the converged flag.
+    Where every start ties at the optimum (the full space, say), whether
+    |new - old| < tol * max(1, old) holds is decided by last-bit
+    rounding, so the step count there is not a property of the set:
+    forced onto both routes, F_11^2 at q = 3 stops after 9 steps on the
+    matrix and 7 on the FFT, at values 4.4e-16 apart (relative).
     """
     support = mu.support_indices()
     forward, inverse = operator
@@ -387,7 +397,19 @@ def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
     converged = np.zeros(rows, dtype=bool)
 
     def l2mu(block: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(block) ** 2 * weights, axis=-1))
+        weighted = np.abs(block)
+        weighted **= 2
+        weighted *= weights
+        return np.sqrt(np.add.reduce(weighted, axis=-1))
+
+    def stop(mask: np.ndarray, active: np.ndarray, f: np.ndarray,
+             value: np.ndarray, it: int, settled: bool) -> None:
+        # writes the final state of the active rows that `mask` picks
+        at = active[mask]
+        values[at] = value[mask]
+        iterations[at] = it
+        converged[at] = settled
+        witnesses[at] = f[mask]
 
     # gathered by take, which keeps the block C-ordered: numpy reduces and
     # multiplies a strided row in another order than the row alone
@@ -398,48 +420,51 @@ def _ascend(mu: FFMeasure, starts: np.ndarray, q: float,
     active = np.flatnonzero(~zero)
     f = block[active] / norms[active, None]
     value = np.zeros(len(active))
+    root, lift = 1.0 / q, q - 2.0
     for it in range(1, cfg.max_iter + 1):
         if len(active) == 0:
             break
-        iterations[active] = it
         g = forward(f * weights)
         mag = np.abs(g)
         # the root as a scalar power per row: numpy's array power rounds
         # differently in the last bit for some values, which would move
         # printed digits
-        new_value = np.array([s ** (1.0 / q)
-                              for s in np.sum(mag ** q, axis=-1)])
+        new_value = np.array([s ** root for s in
+                              np.add.reduce(mag ** q, axis=-1).tolist()])
         slack = cfg.tol * np.maximum(1.0, value)
-        fell = np.flatnonzero(new_value < value - slack)
-        if len(fell):
-            r = fell[0]
-            raise RuntimeError(
-                f"power iteration lost monotonicity at step {it}: "
-                f"{float(value[r])} -> {float(new_value[r])}")
-        values[active] = new_value
-        done = np.abs(new_value - value) < slack
-        go = np.flatnonzero(~done)
-        if len(go):
-            if len(go) < len(done):
-                g, mag = g[go], mag[go]
-            # the ** operator, not np.power: it takes exponent 2 as a
-            # square, so q = 4 keeps the bits of |g|**2
-            mag **= q - 2.0
-            g *= mag
-            nxt = inverse(g)
-            norms = l2mu(nxt)
+        # a row that rose by at least slack neither fell nor converged
+        if not (new_value - value >= slack).all():
+            fell = np.flatnonzero(new_value < value - slack)
+            if len(fell):
+                r = fell[0]
+                raise RuntimeError(
+                    f"power iteration lost monotonicity at step {it}: "
+                    f"{float(value[r])} -> {float(new_value[r])}")
+            done = np.abs(new_value - value) < slack
+            if done.any():
+                stop(done, active, f, new_value, it, True)
+                go = ~done
+                active, f, g, mag = active[go], f[go], g[go], mag[go]
+                new_value = new_value[go]
+                if len(active) == 0:
+                    break
+        # the ** operator, not np.power: it takes exponent 2 as a square,
+        # so q = 4 keeps the bits of |g|**2
+        mag **= lift
+        g *= mag
+        nxt = inverse(g)
+        norms = l2mu(nxt)
+        if it == cfg.max_iter or not norms.all():
             flat = norms == 0.0
-            if flat.any():
-                done[go[flat]] = True
-                nxt, norms = nxt[~flat], norms[~flat]
-            nxt /= norms[:, None]
-        converged[active[done]] = True
-        if it == cfg.max_iter:
-            done[:] = True
-        witnesses[active[done]] = f[done]
-        active, value = active[~done], new_value[~done]
-        if len(go):
-            f = nxt
+            stop(flat, active, f, new_value, it, True)
+            if it == cfg.max_iter:
+                stop(~flat, active, f, new_value, it, False)
+                break
+            go = ~flat
+            active, f, nxt, norms = active[go], f[go], nxt[go], norms[go]
+            new_value = new_value[go]
+        nxt /= norms[:, None]
+        f, value = nxt, new_value
     on_space = np.zeros_like(starts)
     on_space[:, support] = witnesses
     return values, on_space, iterations, converged

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ffrestrict.field import VectorSpace
 from ffrestrict.ensembles import (
+    PointSet,
     hamming_variety,
     sidon_parabola,
     sphere,
@@ -438,6 +439,91 @@ def test_ascent_rows_match_each_start_ascended_alone(family, params, p, q):
         alone = restriction._ascend(mu, starts[i:i + 1], q, cfg, operator)
         for got, want in zip(batch, alone):
             assert got[i:i + 1].tobytes() == want.tobytes(), i
+
+
+def _stub_operator(kills):
+    """The identity on rows x |E| blocks as the operator and its adjoint,
+    except that the adjoint's k-th call returns zero for every row that
+    is nonzero in support column kills[k].  Once a row is ascending, the
+    adjoint's k-th call is that row's step k."""
+    calls = []
+
+    def inverse(g):
+        calls.append(len(g))
+        out = g.copy()
+        column = kills.get(len(calls))
+        if column is not None:
+            out[g[:, column] != 0] = 0.0
+        return out
+
+    return (lambda block: block.copy()), inverse
+
+
+def _ascend_alone(mu, start, q, cfg, operator):
+    """One row's ascent, step by step as the definition reads: the
+    reference for `_ascend`'s bookkeeping."""
+    support = mu.support_indices()
+    weights = mu.weights[support]
+    forward, inverse = operator
+    f = start[None, support]
+    norm = np.sqrt(np.sum(np.abs(f) ** 2 * weights))
+    if norm == 0.0:
+        return 0.0, np.zeros_like(start), 0, True
+    f = f / norm
+    value = 0.0
+    for it in range(1, cfg.max_iter + 1):
+        g = forward(f * weights)
+        new = float(np.sum(np.abs(g) ** q)) ** (1.0 / q)
+        slack = cfg.tol * max(1.0, value)
+        assert new >= value - slack
+        stopped = None
+        if abs(new - value) < slack:
+            stopped = True
+        else:
+            nxt = inverse(np.abs(g) ** (q - 2.0) * g)
+            norm = np.sqrt(np.sum(np.abs(nxt) ** 2 * weights))
+            if norm == 0.0:
+                stopped = True
+            elif it == cfg.max_iter:
+                stopped = False
+        if stopped is not None:
+            witness = np.zeros_like(start)
+            witness[support] = f[0]
+            return new, witness, it, stopped
+        f, value = nxt / norm, new
+
+
+def test_ascent_rows_stop_for_every_reason_as_each_row_alone():
+    # seven support points of F_11 (weight 11/7), q = 3, and an identity
+    # stub whose iterates concentrate on their largest entry: each row
+    # stops for its own reason at its own step, and the rows that stop
+    # are removed from the block between the ones that go on
+    e = PointSet(VectorSpace(11, 1), np.arange(11) < 7)
+    mu = surface_measure(e)
+    cfg = PowerIterConfig(max_iter=5)
+    rows = {  # support values: (step, converged, reason)
+        (1.0, 0.5, 0, 0, 0, 0, 0): (5, False, "max_iter cap"),
+        (0, 0, 0, 0, 0, 0, 0): (0, True, "zero start"),
+        (1.0, 0, 0, 0, 0, 0, 0.5): (3, True, "zero next iterate"),
+        (0, 0, 1.0, 0, 0, 0, 0): (2, True, "converged"),
+        (1.0, 0.1, 0, 0, 0, 0, 0): (4, True, "converged"),
+        (0.5, 0, 0, 1.0, 0, 0.5, 0): (5, True, "zero next iterate at cap"),
+        (0.25j, 1.0, 0, 0, 0, 0, 0): (5, True, "converged at the cap"),
+        (0, 0.5j, 0, 0, 1.0, 0, 0): (5, False, "max_iter cap"),
+    }
+    kills = {3: 6, 5: 5}
+    starts = np.zeros((len(rows), 11), dtype=np.complex128)
+    starts[:, :7] = list(rows)
+    values, witnesses, iterations, converged = restriction._ascend(
+        mu, starts, 3.0, cfg, _stub_operator(kills))
+    assert [(int(it), bool(c)) for it, c in zip(iterations, converged)] \
+        == [(it, c) for it, c, _ in rows.values()]
+    for i, start in enumerate(starts):
+        value, witness, it, settled = _ascend_alone(
+            mu, start, 3.0, cfg, _stub_operator(kills))
+        assert values[i].hex() == value.hex(), i
+        assert witnesses[i].tobytes() == witness.tobytes(), i
+        assert (iterations[i], converged[i]) == (it, settled), i
 
 
 @pytest.mark.parametrize("family, params, p, q, matrix", [
