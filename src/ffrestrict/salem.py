@@ -132,6 +132,9 @@ def hamming_exact_transform(space: VectorSpace, j: int, m):
     j = j % p
     if j == 0:
         raise ValueError("hamming variety requires j != 0")
+    # a tuple or list would be read as flat indices, not as coordinates
+    if not isinstance(m, (int, np.integer, np.ndarray)):
+        raise TypeError(f"expected flat indices, got {type(m).__name__}")
     idx = np.asarray(m)
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError(f"expected flat indices, got dtype {idx.dtype}")

@@ -280,8 +280,10 @@ def test_hamming_exact_rejects_j_zero():
     for m in (-1, 25, np.array([0, 25])):
         with pytest.raises(ValueError, match="out of range"):
             hamming_exact_transform(space, 1, m)
-    with pytest.raises(TypeError, match="flat indices"):
-        hamming_exact_transform(space, 1, np.array([1.0, 2.0]))
+    # a coordinate tuple or a list is not read as flat indices
+    for m in (np.array([1.0, 2.0]), (3, 0), [3, 0], 3.0):
+        with pytest.raises(TypeError, match="flat indices"):
+            hamming_exact_transform(space, 1, m)
 
 
 # ------------------------------------------------------- closed forms
