@@ -1,6 +1,7 @@
 """Pinned CLI commands print exactly the committed bytes.
 
-Each command runs in-process through `cli.main` with `--out -`, in the
+Each command runs in-process through `cli.main` with `--out -` (except
+`verify`, which writes only to stdout and takes no `--out`), in the
 `tests/golden` directory, so an input file is named by the same relative
 path (`inputs/...`) in every message.  A command in `COMMANDS` must exit
 0 and its stdout must equal `tests/golden/<name>.txt` byte for byte.  A
@@ -75,6 +76,19 @@ COMMANDS = {
     "salem-profile-random-d3-p2": ["salem-profile", "--family", "random",
                                    "--d", "3", "--p", "2", "--seed", "2",
                                    *PROFILE_GRID],
+    # a half spectrum of 129,795 entries and an ascent block of
+    # 26 x 15,625, both above the size at which an FFT pass runs in two
+    # threads
+    "salem-profile-hamming-d2-p509": ["salem-profile", "--family", "hamming",
+                                      "--d", "2", "--p", "509",
+                                      "--p-grid", "2,4,inf"],
+    "ext-norm-cutoff-cylinder-p5-q4": ["ext-norm", "--family",
+                                       "cutoff-cylinder", "--n", "2",
+                                       "--m", "1", "--k", "3", "--p", "5",
+                                       "--q", "4"],
+    # every suite and the mutation line; its measured errors are the same
+    # from run to run
+    "verify": ["verify"],
     "transform-f5x2": ["transform", "--in", "inputs/f5x2.csv"],
     "transform-inverse-f5x2": ["transform", "--in", "inputs/f5x2.csv",
                                "--inverse"],
@@ -117,9 +131,11 @@ FAILING = {
 
 def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     out, err = io.StringIO(), io.StringIO()
+    if argv[0] != "verify":
+        argv = [*argv, "--out", "-"]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             contextlib.chdir(GOLDEN):
-        code = cli.main([*argv, "--out", "-"])
+        code = cli.main(argv)
     return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
