@@ -7,7 +7,9 @@ that the transform-identity suite and the restriction suite each notice;
 it guards against the suites themselves going vacuous.
 
 Scale policy: exhaustive checks for p <= 13, sampled checks up to p = 23,
-and defining-sum checks of the transform up to p = 127.
+defining-sum checks of the transform up to p = 127, and one inversion
+and one closed-form check on transforms large enough that each FFT pass
+runs in two threads (F_257^2 and F_509^2).
 """
 
 from __future__ import annotations
@@ -155,6 +157,14 @@ def _suite_parseval() -> list[CheckResult]:
         err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
         out.append(CheckResult("parseval", f"defining sum F_{p}^{d}",
                                err <= 1e-12, f"rel err = {err:.2e}"))
+    # 66,049 points, so every pass of both transforms runs in two threads
+    space = VectorSpace(257, 2)
+    f = random_function(space, seed=257)
+    inv = fourier_inverse(fourier_forward(f))
+    err = float(np.max(np.abs(inv.values - space.size * f.values))
+                / (space.size * np.max(np.abs(f.values))))
+    out.append(CheckResult("parseval", "inversion F_257^2", err <= 1e-9,
+                           f"rel err = {err:.2e}"))
     return out
 
 
@@ -212,6 +222,16 @@ def _suite_hamming() -> list[CheckResult]:
             out.append(CheckResult(
                 "hamming", f"decay constant p={p} d={d}", const <= 4.0,
                 f"C = {const:.3f}"))
+    # a half spectrum of 129,795 entries, so both passes of its transform
+    # run in two threads; its entries are the full cube cut at p // 2
+    p = 509
+    space = VectorSpace(p, 2)
+    half = fourier_forward(surface_measure(hamming_variety(space, 1))).values
+    idx = space.all_indices().reshape(p, p)[:, :p // 2 + 1].reshape(-1)
+    worst = float(np.max(np.abs(half - hamming_exact_transform(space, 1, idx))))
+    out.append(CheckResult(
+        "hamming", f"closed form half spectrum p={p} d=2 j=1",
+        worst <= 1e-12, f"max |diff| = {worst:.2e}"))
     return out
 
 

@@ -129,7 +129,7 @@ def test_half_spectrum_oracle_catches_a_unit_mirror_weight(monkeypatch):
     lhs, rhs = universal_l2_identity(hamming_variety(_space(5, 2), 1))
     assert abs(lhs - rhs) <= 1e-12
     assert verify.mutation_check().detail == (
-        "15 checks failed under fault (parseval 14, restriction 1)")
+        "16 checks failed under fault (parseval 15, restriction 1)")
 
 
 @pytest.mark.parametrize(
@@ -208,7 +208,7 @@ def test_product_oracle_catches_a_faulty_factor_fold(monkeypatch):
                                for _, _, sizes in verify.PRODUCT_CASES)
     # the character-sign mutation line does not move
     assert verify.mutation_check().detail == (
-        "15 checks failed under fault (parseval 14, restriction 1)")
+        "16 checks failed under fault (parseval 15, restriction 1)")
 
 
 def test_product_oracle_catches_the_zero_frequency_summed(monkeypatch):

@@ -2,6 +2,8 @@
 conventions."""
 
 import math
+import threading
+import time
 
 import mpmath
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffrestrict.ensembles import PointSet, hamming_variety, surface_measure
-from ffrestrict import verify
+from ffrestrict import spectral, verify
 from ffrestrict.field import VectorSpace
 from ffrestrict.spectral import (
     FFMeasure,
@@ -175,6 +177,126 @@ def test_character_sign_fault_is_undone_on_exit():
         with verify.character_sign_fault():
             raise RuntimeError("inside the fault")
     assert np.max(np.abs(fourier_forward(f).values - want)) < bound
+
+
+# ------------------------------------------------------------ split passes
+
+# every test size is below this, and every pass splits at 0
+_NEVER_SPLIT = 1 << 40
+
+
+def _split_and_serial(monkeypatch, transform):
+    """transform() with every FFT pass split, then with none split."""
+    monkeypatch.setattr(spectral, "_SPLIT_ENTRIES", 0)
+    split = transform()
+    monkeypatch.setattr(spectral, "_SPLIT_ENTRIES", _NEVER_SPLIT)
+    return split, transform()
+
+
+@pytest.mark.parametrize("p, d", [(13, 1), (11, 2), (7, 3), (5, 4), (2, 4)])
+def test_split_passes_match_serial_bit_for_bit(monkeypatch, p, d):
+    space = _space(p, d)
+    f = random_function(space, seed=p + d)
+    w = np.random.default_rng(p * d).random(space.size)
+    for sign in (-1, +1):
+        split, serial = _split_and_serial(
+            monkeypatch, lambda: spectral._transform(space, f.values, sign))
+        assert np.array_equal(split, serial)
+    split, serial = _split_and_serial(
+        monkeypatch, lambda: spectral._half_transform(space, w))
+    assert np.array_equal(split, serial)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_split_passes_match_serial_on_an_ascent_block(monkeypatch, rows):
+    # rows x p^d, zero off the support, as the FFT-route ascent passes it;
+    # a one-row block halves a cube axis instead of the row axis
+    space = _space(5, 3)
+    support = np.arange(0, space.size, 7)
+    rng = np.random.default_rng(rows)
+    block = np.zeros((rows, space.size), dtype=np.complex128)
+    block[:, support] = rng.standard_normal((rows, len(support)))
+    for sign in (-1, +1):
+        split, serial = _split_and_serial(
+            monkeypatch, lambda: spectral._transform(space, block, sign))
+        assert split.shape == block.shape
+        assert np.array_equal(split, serial)
+
+
+def test_split_pass_raises_the_worker_exception(monkeypatch):
+    def fft(src, axis, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("upper half")
+        np.fft.fft(src, axis=axis, out=out)
+
+    monkeypatch.setattr(spectral, "_SPLIT_ENTRIES", 0)
+    threads = threading.active_count()
+    src = np.ones((4, 3), dtype=np.complex128)
+    with pytest.raises(FloatingPointError, match="upper half"):
+        spectral._fft_pass(fft, src, -1, np.empty_like(src))
+    assert threading.active_count() == threads
+
+
+def test_split_pass_joins_the_worker_when_the_caller_half_raises(
+        monkeypatch):
+    done = []
+
+    def fft(src, axis, out):
+        if threading.current_thread() is threading.main_thread():
+            raise FloatingPointError("lower half")
+        time.sleep(0.05)
+        done.append(True)
+
+    monkeypatch.setattr(spectral, "_SPLIT_ENTRIES", 0)
+    threads = threading.active_count()
+    src = np.ones((4, 3), dtype=np.complex128)
+    with pytest.raises(FloatingPointError, match="lower half"):
+        spectral._fft_pass(fft, src, -1, np.empty_like(src))
+    assert done == [True]
+    assert threading.active_count() == threads
+
+
+def test_small_passes_and_passes_with_one_long_axis_run_serially(
+        monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: (started.append(self), start(self)))
+    # the largest passes of the small-p and large-p fits below the rule
+    spectral._half_transform(_space(17, 4), np.ones(17 ** 4))
+    spectral._half_transform(_space(131, 2), np.ones(131 ** 2))
+    assert started == []
+    spectral._half_transform(_space(509, 2), np.ones(509 ** 2))
+    assert len(started) == 2
+    # d = 1 has no other axis to halve
+    monkeypatch.setattr(spectral, "_SPLIT_ENTRIES", 0)
+    spectral._transform(_space(13, 1), np.ones(13, complex), -1)
+    assert len(started) == 2
+
+
+def _lazy_pass(fft, src, axis, out, **kw):
+    """_fft_pass whose worker does nothing: the upper half of a split pass
+    is left as the pass found it, the input on an in-place pass and zeros
+    in the first pass's array."""
+    split = out.size >= spectral._SPLIT_ENTRIES
+    halves = spectral._halves(out.shape, axis) if split else None
+    if halves is None:
+        fft(src, axis=axis, out=out, **kw)
+        return
+    lower, upper = halves
+    fft(src[lower], axis=axis, out=out[lower], **kw)
+    if src is not out:
+        out[upper] = 0
+
+
+def test_split_path_oracles_catch_an_untransformed_worker_half(
+        monkeypatch):
+    # every other check of these suites is below the split rule
+    monkeypatch.setattr(spectral, "_fft_pass", _lazy_pass)
+    failed = [r.name for r in verify.run_suites(["parseval", "hamming"])
+              if not r.passed]
+    assert failed == ["inversion F_257^2",
+                      "closed form half spectrum p=509 d=2 j=1"]
 
 
 # ------------------------------------------------------------ norms
