@@ -228,7 +228,8 @@ def _suite_hamming() -> list[CheckResult]:
     space = VectorSpace(p, 2)
     half = fourier_forward(surface_measure(hamming_variety(space, 1))).values
     idx = space.all_indices().reshape(p, p)[:, :p // 2 + 1].reshape(-1)
-    worst = float(np.max(np.abs(half - hamming_exact_transform(space, 1, idx))))
+    exact = hamming_exact_transform(space, 1, idx)
+    worst = float(np.max(np.abs(half - exact)))
     out.append(CheckResult(
         "hamming", f"closed form half spectrum p={p} d=2 j=1",
         worst <= 1e-12, f"max |diff| = {worst:.2e}"))

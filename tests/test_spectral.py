@@ -2,6 +2,7 @@
 conventions."""
 
 import math
+import sys
 import threading
 import time
 
@@ -221,6 +222,33 @@ def test_split_passes_match_serial_on_an_ascent_block(monkeypatch, rows):
             monkeypatch, lambda: spectral._transform(space, block, sign))
         assert split.shape == block.shape
         assert np.array_equal(split, serial)
+
+
+def test_split_passes_from_many_threads_at_once_match_serial(monkeypatch):
+    # more callers than cores, each with its own worker, switching often
+    space = _space(7, 3)
+    fs = [random_function(space, seed=s).values for s in range(6)]
+    want = [spectral._transform(space, f, -1) for f in fs]
+    monkeypatch.setattr(spectral, "_SPLIT_ENTRIES", 0)
+    got = [None] * len(fs)
+
+    def run(i):
+        for _ in range(20):
+            got[i] = spectral._transform(space, fs[i], -1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(fs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_split_pass_raises_the_worker_exception(monkeypatch):
