@@ -247,10 +247,13 @@ def cutoff_cylinder(space: VectorSpace, n: int, m: int, k: int) -> PointSet:
 
 
 def surface_measure(e: PointSet) -> FFMeasure:
-    """The uniform probability measure mu(x) = E(x)/|E|."""
+    """The uniform probability measure mu(x) = E(x)/|E|, kept as e's
+    membership bitmap and |E|: its transform reads it from the bitmap, a
+    row block at a time, and its float64 weights are made only if
+    `weights` is read (`FFMeasure._uniform`)."""
     if e.cardinality == 0:
         raise ValueError("surface measure of an empty set")
-    return FFMeasure._adopt(e.space, e.membership / e.cardinality)
+    return FFMeasure._uniform(e.space, e.membership, e.cardinality)
 
 
 def random_set(space: VectorSpace, percent: int, seed: int) -> PointSet:

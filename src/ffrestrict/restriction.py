@@ -320,6 +320,12 @@ def _matrix_operator(space: VectorSpace,
 
     Each row is its own vector-matrix product: a matrix-matrix product
     rounds a row differently with the rows beside it, so rows would mix.
+    Rows are independent only at a fixed BLAS thread count: from about
+    |E| p^d >= 4096 a product takes OpenBLAS's threaded path, whose
+    rounding differs from its one-thread path (2, 3 and 4 threads
+    agree).  The `ext-sweep` benchmark's q = 3 Hamming sweep moves in
+    its last digits at p = 19 and 23 under OPENBLAS_NUM_THREADS=1, so a
+    one-CPU host fails that golden file.
     """
     forward = spectral._character_matrix(space, support, -1)
     inverse = spectral._character_matrix(space, support, +1).T

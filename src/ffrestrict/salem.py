@@ -65,8 +65,9 @@ def profile(e: PointSet, p_grid: Sequence[float]) -> SpectralProfile:
     product is the product of its factors' surface measures, so a
     product set is transformed factor by factor and never as its dense
     p^d grid; a set with no product structure is its own single factor.
-    Each measure is transformed straight from its float64 weights to its
-    half spectrum, with no complex copy, and freed once transformed.
+    Each surface measure is transformed to its half spectrum from its
+    membership bitmap, a row block at a time, so neither its p^d float64
+    weights nor a complex copy is made.
     """
     grid = sorted(set(float(pe) for pe in p_grid))
     if not grid:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -80,10 +81,17 @@ Spectrum = GridFunction | HalfSpectrum
 
 
 class FFMeasure(SpaceArray):
-    """A probability measure on F_p^d: nonnegative weights summing to 1."""
+    """A probability measure on F_p^d: nonnegative weights summing to 1.
+
+    A uniform measure made by `_uniform` keeps the bitmap of its support
+    and the support's size instead of weights: it makes its weights from
+    them on first use, checks them like any others, then freezes and
+    keeps them.  Its transform never makes them (`_half_transform`).
+    """
 
     _dtype = np.float64
     _noun = "weights"
+    _membership = None  # the support's bitmap, on a uniform measure only
 
     def _check(self, w: np.ndarray) -> None:
         if not np.all(np.isfinite(w)):
@@ -94,13 +102,53 @@ class FFMeasure(SpaceArray):
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
 
+    @classmethod
+    def _uniform(cls, space: VectorSpace, membership: np.ndarray,
+                 cardinality: int) -> "FFMeasure":
+        """The measure membership / cardinality, with no weights array
+        until `weights` is read.  A bitmap with other than cardinality
+        members would not sum to 1 and is rejected as such."""
+        if membership.shape != (space.size,):
+            raise ValueError(f"expected {space.size} membership flags for "
+                             f"{space}, got shape {membership.shape}")
+        count = int(np.count_nonzero(membership))
+        if count != cardinality:
+            raise ValueError(
+                f"weights must sum to 1, got {count / cardinality!r}")
+        obj = cls.__new__(cls)
+        obj._space = space
+        obj._array = None
+        obj._membership = membership
+        obj._cardinality = cardinality
+        return obj
+
     @property
     def weights(self) -> np.ndarray:
+        if self._array is None:
+            w = self._membership / self._cardinality
+            self._check(w)
+            w.setflags(write=False)
+            self._array = w
         return self._array
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of the weights laid out as the (p^{d-1}, p)
+        cube: views of the weights, or on a uniform measure, made from
+        its bitmap with the division `weights` makes, so bit for bit."""
+        p = self._space.p
+        if self._membership is None:
+            return self._array.reshape(-1, p)[start:stop]
+        return self._membership.reshape(-1, p)[start:stop] \
+            / self._cardinality
+
+    def support_indices(self) -> np.ndarray:
+        if self._membership is None:
+            return super().support_indices()
+        return np.flatnonzero(self._membership)
 
     def as_grid(self) -> GridFunction:
         return GridFunction._adopt(self._space,
-                                   self._array.astype(np.complex128))
+                                   self.weights.astype(np.complex128))
 
 
 def random_function(space: VectorSpace, seed: int) -> GridFunction:
@@ -112,8 +160,12 @@ def random_function(space: VectorSpace, seed: int) -> GridFunction:
 
 
 # an FFT pass whose output has at least this many entries runs in two
-# threads (`_fft_pass`)
+# threads (`_fft_pass`, `_half_transform`)
 _SPLIT_ENTRIES = 1 << 16
+
+# how many weights `_half_transform` makes and transforms at a time: whole
+# cube rows, at least one, up to this many entries
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _halves(shape: tuple[int, ...], axis: int):
@@ -128,13 +180,34 @@ def _halves(shape: tuple[int, ...], axis: int):
     return None
 
 
+def _in_two(lower: Callable[[], None], upper: Callable[[], None]) -> None:
+    """upper() in a worker thread while the calling thread runs lower().
+    The worker is joined even if lower raises, and an exception it raised
+    is raised here."""
+    raised = []
+
+    def run_upper() -> None:
+        try:
+            upper()
+        except BaseException as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run_upper)
+    worker.start()
+    try:
+        lower()
+    finally:
+        worker.join()
+    if raised:
+        raise raised[0]
+
+
 def _fft_pass(fft, src: np.ndarray, axis: int, out: np.ndarray,
               **kw) -> None:
     """fft(src, axis=axis, out=out, **kw), split in two halves along
     another axis when out has at least _SPLIT_ENTRIES entries: a worker
     thread transforms the upper half into its slice of out while the
-    calling thread transforms the lower half.  The worker is joined even
-    if the lower half raises, and an exception it raised is raised here.
+    calling thread transforms the lower half (`_in_two`).
 
     pocketfft transforms each 1-D line on its own, so the values are the
     serial pass's bit for bit.  numpy releases the GIL inside a transform,
@@ -160,22 +233,8 @@ def _fft_pass(fft, src: np.ndarray, axis: int, out: np.ndarray,
         fft(src, axis=axis, out=out, **kw)
         return
     lower, upper = halves
-    raised = []
-
-    def transform_upper() -> None:
-        try:
-            fft(src[upper], axis=axis, out=out[upper], **kw)
-        except BaseException as exc:
-            raised.append(exc)
-
-    worker = threading.Thread(target=transform_upper)
-    worker.start()
-    try:
-        fft(src[lower], axis=axis, out=out[lower], **kw)
-    finally:
-        worker.join()
-    if raised:
-        raise raised[0]
+    _in_two(lambda: fft(src[lower], axis=axis, out=out[lower], **kw),
+            lambda: fft(src[upper], axis=axis, out=out[upper], **kw))
 
 
 def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
@@ -204,30 +263,53 @@ def _transform(space: VectorSpace, values: np.ndarray, sign: int) -> np.ndarray:
     return out.reshape(values.shape)
 
 
-def _half_transform(space: VectorSpace, weights: np.ndarray) -> np.ndarray:
-    """sum_x f(x) chi(-xi.x) for real f, on the half spectrum: np.fft.rfft
-    along the last cube axis (coordinate 0) into one array allocated up
-    front, then fft in place along the others, each pass through
-    `_fft_pass`, which runs a large pass in two threads."""
-    d = space.dimension
-    cube = weights.reshape((space.p,) * d)
-    out = np.empty(cube.shape[:-1] + (space.p // 2 + 1,),
-                   dtype=np.complex128)
-    _fft_pass(np.fft.rfft, cube, -1, out)
+def _half_transform(mu: FFMeasure) -> np.ndarray:
+    """sum_x mu(x) chi(-xi.x) on the half spectrum: np.fft.rfft along the
+    last cube axis (coordinate 0) into one array allocated up front, then
+    fft in place along the others, each through `_fft_pass`.
+
+    The rfft pass reads the (p^{d-1}, p) cube of weights a block of whole
+    rows at a time (`FFMeasure._rows`, at most _BLOCK_ENTRIES weights), so
+    a uniform measure's p^d weights are never made, and transforms each
+    block into its rows of the output.  When the output has at least
+    _SPLIT_ENTRIES entries, a worker thread takes the upper half of the
+    blocks (`_in_two`).  Each row is transformed on its own, so the
+    values are those of rfft over the whole cube, bit for bit.
+    """
+    space = mu.space
+    p, d = space.p, space.dimension
+    rows = space.size // p
+    out = np.empty((rows, p // 2 + 1), dtype=np.complex128)
+    step = max(1, _BLOCK_ENTRIES // p)
+    blocks = [(start, min(start + step, rows))
+              for start in range(0, rows, step)]
+
+    def transform(part: list[tuple[int, int]]) -> None:
+        for start, stop in part:
+            np.fft.rfft(mu._rows(start, stop), axis=-1, out=out[start:stop])
+
+    if out.size >= _SPLIT_ENTRIES:
+        half = len(blocks) // 2
+        _in_two(lambda: transform(blocks[:half]),
+                lambda: transform(blocks[half:]))
+    else:
+        transform(blocks)
+    cube = out.reshape((p,) * (d - 1) + (p // 2 + 1,))
     for ax in range(2, d + 1):
-        _fft_pass(np.fft.fft, out, -ax, out)
+        _fft_pass(np.fft.fft, cube, -ax, cube)
     return out.reshape(-1)
 
 
 def fourier_forward(f: GridFunction | FFMeasure) -> Spectrum:
     """f^(xi) = sum_x f(x) chi(-xi.x).
 
-    A measure is transformed straight from its float64 weights to its
-    half spectrum; a complex function to its full transform.
+    A measure is transformed to its half spectrum a row block at a time,
+    from its float64 weights, or a surface measure from its membership
+    bitmap (`_half_transform`); a complex function to its full
+    transform.
     """
     if isinstance(f, FFMeasure):
-        half = _half_transform(f.space, f.weights)
-        return HalfSpectrum._adopt(f.space, half)
+        return HalfSpectrum._adopt(f.space, _half_transform(f))
     return GridFunction._adopt(f.space, _transform(f.space, f.values, -1))
 
 
@@ -256,22 +338,40 @@ def _character_matrix(space: VectorSpace, points: np.ndarray,
                                          space.all_indices())) % space.p]
 
 
-def dft_reference(f: GridFunction, max_points: int = 4096) -> GridFunction:
-    """The defining double sum, evaluated directly.  O(p^2d); test oracle.
+# dft_reference evaluates the double sum up to this many points, and the
+# sum axis by axis above
+_DOUBLE_SUM_POINTS = 13 ** 2
 
-    Chunked over frequencies so memory stays O(p^d) regardless of size.
+
+def dft_reference(f: GridFunction, max_points: int = 4096) -> GridFunction:
+    """The defining sum sum_x f(x) chi(-xi.x), evaluated without an FFT;
+    test oracle.
+
+    Up to 13^2 points it is the double sum over (xi, x), O(p^2d), chunked
+    over frequencies so memory stays O(p^d).  Above, the character
+    factors over coordinates, chi(-xi.x) = prod_i chi(-xi_i x_i), so the
+    sum is one product with the p x p character table W[k, t] =
+    chi(-k t) along each axis of the (p,)*d cube, O(d p^(d+1)).
     """
     space = f.space
     n = space.size
     if n > max_points:
         raise ValueError(f"defining-sum reference capped at {max_points} points")
+    p = space.p
+    if n > _DOUBLE_SUM_POINTS:
+        residues = np.arange(p, dtype=np.int64)
+        table = space.chi_table[-np.outer(residues, residues) % p]
+        cube = f.values.reshape((p,) * space.dimension)
+        for ax in range(space.dimension):
+            cube = np.moveaxis(np.tensordot(table, cube, axes=(1, ax)), 0, ax)
+        return GridFunction._adopt(space, cube.reshape(-1))
     idx = space.all_indices()
     out = np.empty(n, dtype=np.complex128)
     chunk = max(1, (1 << 21) // n)
     for start in range(0, n, chunk):
         xi = idx[start:start + chunk]
         dots = _dots(space, xi, idx)
-        out[start:start + len(xi)] = space.chi_table[(-dots) % space.p] @ f.values
+        out[start:start + len(xi)] = space.chi_table[(-dots) % p] @ f.values
     return GridFunction._adopt(space, out)
 
 

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffrestrict.ensembles import PointSet, hamming_variety, surface_measure
+from ffrestrict.ensembles import (
+    PointSet,
+    full_space,
+    hamming_variety,
+    surface_measure,
+)
 from ffrestrict import spectral, verify
 from ffrestrict.field import VectorSpace
 from ffrestrict.spectral import (
@@ -199,12 +204,13 @@ def test_split_passes_match_serial_bit_for_bit(monkeypatch, p, d):
     space = _space(p, d)
     f = random_function(space, seed=p + d)
     w = np.random.default_rng(p * d).random(space.size)
+    mu = FFMeasure(space, w / w.sum())
     for sign in (-1, +1):
         split, serial = _split_and_serial(
             monkeypatch, lambda: spectral._transform(space, f.values, sign))
         assert np.array_equal(split, serial)
     split, serial = _split_and_serial(
-        monkeypatch, lambda: spectral._half_transform(space, w))
+        monkeypatch, lambda: spectral._half_transform(mu))
     assert np.array_equal(split, serial)
 
 
@@ -290,11 +296,14 @@ def test_small_passes_and_passes_with_one_long_axis_run_serially(
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: (started.append(self), start(self)))
+    def uniform(space):
+        return surface_measure(full_space(space))
+
     # the largest passes of the small-p and large-p fits below the rule
-    spectral._half_transform(_space(17, 4), np.ones(17 ** 4))
-    spectral._half_transform(_space(131, 2), np.ones(131 ** 2))
+    spectral._half_transform(uniform(_space(17, 4)))
+    spectral._half_transform(uniform(_space(131, 2)))
     assert started == []
-    spectral._half_transform(_space(509, 2), np.ones(509 ** 2))
+    spectral._half_transform(uniform(_space(509, 2)))
     assert len(started) == 2
     # d = 1 has no other axis to halve
     monkeypatch.setattr(spectral, "_SPLIT_ENTRIES", 0)
