@@ -108,9 +108,6 @@ class FFMeasure(SpaceArray):
         """The measure membership / cardinality, with no weights array
         until `weights` is read.  A bitmap with other than cardinality
         members would not sum to 1 and is rejected as such."""
-        if membership.shape != (space.size,):
-            raise ValueError(f"expected {space.size} membership flags for "
-                             f"{space}, got shape {membership.shape}")
         count = int(np.count_nonzero(membership))
         if count != cardinality:
             raise ValueError(

@@ -4,7 +4,7 @@ constructor validation."""
 import numpy as np
 import pytest
 
-from ffrestrict import families
+from ffrestrict import ensembles, families
 from ffrestrict.field import VectorSpace
 from ffrestrict.ensembles import (
     PointSet,
@@ -21,6 +21,7 @@ from ffrestrict.ensembles import (
     sphere_product,
     surface_measure,
 )
+from ffrestrict.spectral import FFMeasure, fourier_forward
 
 
 def _space(p, d, cap=None):
@@ -293,6 +294,33 @@ def test_surface_measure_uniform_on_support():
     w = mu.weights[e.support_indices()]
     assert np.allclose(w, 1.0 / e.cardinality)
     assert mu.weights.sum() == pytest.approx(1.0)
+
+
+def test_surface_measure_makes_its_weights_once_and_checks_them(
+        monkeypatch):
+    e = sphere(_space(7, 2), 1)
+    checked = []
+    check = FFMeasure._check
+    monkeypatch.setattr(FFMeasure, "_check",
+                        lambda self, w: (checked.append(w), check(self, w)))
+    mu = surface_measure(e)
+    fourier_forward(mu)
+    assert checked == []
+    w = mu.weights
+    assert len(checked) == 1 and checked[0] is w
+    assert mu.weights is w
+    assert not w.flags.writeable
+    assert np.array_equal(w, e.membership / e.cardinality)
+
+
+def test_surface_measure_of_a_product_with_a_dropped_factor_is_rejected(
+        monkeypatch):
+    original = ensembles._product_cardinality
+    monkeypatch.setattr(ensembles, "_product_cardinality",
+                        lambda factors: original(factors[:-1]))
+    e = product(sphere(_space(5, 2), 1), sphere(_space(5, 2), 1))
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        surface_measure(e)
 
 
 def test_surface_measure_empty_set_rejected():

@@ -170,6 +170,23 @@ def test_cylinder_profile_never_makes_the_bitmap():
     assert e.membership is memb
 
 
+def test_profile_never_makes_the_float64_weights():
+    # the surface measure is transformed from its bitmap two row blocks
+    # at a time, so the peak holds the bitmap, the half spectrum and its
+    # magnitudes, and no p^d float64 array (2.0 MiB here)
+    p = 509
+    block = 8 * p * max(1, spectral._BLOCK_ENTRIES // p)
+    half = p * (p // 2 + 1)
+    bound = 16 * half + 8 * half + p * p + 2 * block
+    tracemalloc.start()
+    try:
+        profile(hamming_variety(VectorSpace(p, 2), 1), [4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_products_oracle_catches_a_cardinality_that_drops_a_factor(
         monkeypatch):
     original = ensembles._product_cardinality
