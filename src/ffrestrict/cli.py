@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from datetime import datetime, timezone
@@ -491,12 +492,33 @@ def _merge_config(argv: list[str]) -> list[str]:
     return [command] + _load_config_tokens(path) + tail
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser `main` uses: `build_parser()`, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one `ffr` command and return its exit code.
+
+    `main(argv)` can be called repeatedly in one process.  It builds its
+    parser once, on the first call (`_parser`), and carries no state from
+    one call to the next: argparse makes a new Namespace on every parse
+    and changes nothing on the parser, and the one repeatable option,
+    `verify --suite`, defaults to None, so no list is shared between
+    calls or between threads.  The handlers bound by
+    `set_defaults(func=...)`, and the family and suite names in the help
+    text, are those present when the parser was built; the names the
+    handlers call are looked up when they run.
+
+    Only a caller that runs several commands in one process saves time by
+    this (the benchmark runner and the tests do); the `ffr` entry point
+    runs one command per process and builds one parser, as it always did.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _merge_config(argv)
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print("invalid config:", file=sys.stderr)

@@ -2,14 +2,19 @@
 and byte determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
+from datetime import datetime
 from fractions import Fraction
 
 import pytest
+import test_golden as golden
 
 from ffrestrict import cli, reports, verify
 
@@ -679,3 +684,90 @@ def test_timestamp_opt_in(tmp_path, capsys):
     with open(out) as fp:
         env, _ = reports.read_csv(fp)
     assert env["timestamp"] is not None
+
+
+# ---------------------------------------------------------- parser reuse
+
+class _FixedClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2024, 1, 2, 3, 4, 5, tzinfo=tz)
+
+
+def _call(argv):
+    """main(argv)'s exit code, or ("SystemExit", code), and its stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state(tmp_path,
+                                                        monkeypatch):
+    cfg = tmp_path / "profile.cfg"
+    cfg.write_text("family = sphere\nk = 2\np = 5\np-grid = 2,inf\n")
+    sequence = [
+        ["salem-profile", "--family", "sphere", "--p", "5", "--bogus"],
+        ["salem-profile", "--config", str(cfg)],
+        ["salem-profile", "--family", "sphere", "--p", "5", "--k", "2",
+         "--timestamp"],
+        ["verify", "--suite", "hamming"],
+        ["verify", "--suite", "hamming"],
+        ["--help"],
+    ]
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    suites_asked = []
+    run_suites = verify.run_suites
+    monkeypatch.setattr(verify, "run_suites",
+                        lambda suites: suites_asked.append(suites)
+                        or run_suites(suites))
+    fresh = cli.build_parser
+    builds = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or fresh())
+    cli._parser.cache_clear()
+    cached = [_call(argv) for argv in sequence]
+    assert len(builds) == 1
+    # the second verify run does not see the first run's --suite values
+    assert suites_asked == [["hamming"], ["hamming"]]
+    codes = [code for code, _, _ in cached]
+    assert codes == [1, 0, 0, 0, 0, ("SystemExit", 0)]
+    assert "unrecognized arguments: --bogus" in cached[0][2]
+    assert "2024-01-02T03:04:05" in cached[2][1]
+    assert cached[3] == cached[4]
+    assert "usage: ffr" in cached[5][1]
+    # the same argv, each on a parser built for that call alone
+    monkeypatch.setattr(cli, "_parser", fresh)
+    assert [_call(argv) for argv in sequence] == cached
+
+
+def test_two_threads_share_the_cached_parser(tmp_path, monkeypatch):
+    names = ["salem-fit-hamming-d2", "sweep-hamming-d2-q6"]
+    cli._parser()
+    builds = []
+    fresh = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or fresh())
+    start = threading.Barrier(len(names))
+    codes = {}
+
+    def run(name):
+        start.wait()
+        codes[name] = cli.main([*golden.COMMANDS[name],
+                                "--out", str(tmp_path / f"{name}.txt")])
+
+    # the outputs go to files: redirect_stdout would be process-wide
+    workers = [threading.Thread(target=run, args=(name,)) for name in names]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    assert codes == {name: 0 for name in names}
+    assert builds == []
+    for name in names:
+        assert (tmp_path / f"{name}.txt").read_bytes() == \
+            (golden.GOLDEN / f"{name}.txt").read_bytes()

@@ -16,12 +16,17 @@ NUMPY_VERSION = ROOT / "tests" / "golden" / "numpy-version.txt"
 
 
 def numpy_note() -> str:
-    """The numpy that wrote the golden corpus and the one running: a
-    numpy upgrade can move the last digit of an FFT, and a byte diff
-    should say so."""
+    """The numpy that wrote the golden corpus and the one running, and the
+    BLAS threads the run may use: a numpy upgrade can move the last digit
+    of an FFT, and the matrix-route ascent's last digits depend on the
+    OpenBLAS thread count (`restriction._matrix_operator`), so a one-CPU
+    host fails `sweep-hamming-d2-q3-bench`.  A byte diff should say
+    both."""
     return (f"golden corpus written under numpy "
             f"{NUMPY_VERSION.read_text().strip()}, running numpy "
-            f"{np.__version__}")
+            f"{np.__version__}; OPENBLAS_NUM_THREADS="
+            f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+            f"{len(os.sched_getaffinity(0))} CPUs in the affinity mask")
 
 
 def demo_golden(demo: pathlib.Path) -> pathlib.Path:
@@ -44,3 +49,13 @@ def test_demo_runs(demo):
     assert "Traceback" not in stderr
     assert proc.stdout
     assert proc.stdout == demo_golden(demo).read_bytes(), numpy_note()
+
+
+def test_numpy_note_names_the_blas_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    note = numpy_note()
+    assert f"running numpy {np.__version__}" in note
+    assert "OPENBLAS_NUM_THREADS=1" in note
+    assert f"{len(os.sched_getaffinity(0))} CPUs in the affinity mask" in note
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert "OPENBLAS_NUM_THREADS=unset" in numpy_note()
